@@ -8,9 +8,6 @@ from .field import (
     cyclotomic_polynomial,
     parse_scalar,
     root_of_unity_order,
-    scalar_add,
-    scalar_inv,
-    scalar_mul,
 )
 from .group import (
     ConjClass,
@@ -18,10 +15,7 @@ from .group import (
     centralizer_contains,
     class_is_infinite,
     conj_class_of,
-    conjugate,
     coset_reps,
-    inverse,
-    multiply,
     parse_element,
 )
 from .repn import (
@@ -68,11 +62,8 @@ from .nichols import (
     DEGREE_CAP,
     GrowthFit,
     HilbertPrefix,
-    MonomialOperator,
-    braid_at,
     graded_dims,
     growth_fit,
-    lift_permutation,
     quantum_symmetrizer,
 )
 from .classify import (

@@ -106,8 +106,10 @@ def _cmd_nichols(args):
     if m.dim is None:
         raise SystemExit("nichols requires a finite-dimensional family "
                          "(infinite support is classified by rule R1)")
-    cap = max(DEGREE_CAP, args.max_degree)
-    prefix = graded_dims(m, args.max_degree, cap=cap)
+    if args.max_degree > DEGREE_CAP:
+        raise SystemExit(f"nichols: --max-degree {args.max_degree} exceeds the "
+                         f"degree cap {DEGREE_CAP}")
+    prefix = graded_dims(m, args.max_degree)
     print("degree,dim")
     for n, d in enumerate(prefix):
         print(f"{n},{d}")

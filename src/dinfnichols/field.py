@@ -401,20 +401,6 @@ def parse_scalar(text: str, order: int = DEFAULT_ORDER) -> Scalar:
     return Scalar(order, coeffs)
 
 
-# -- function-style aliases ---------------------------------------------------
-
-def scalar_add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def scalar_mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def scalar_inv(x: Scalar) -> Scalar:
-    return x.inverse()
-
-
 def root_of_unity_order(x: Scalar):
     """Smallest m with x^m = 1, or None if x is not a root of unity.
 

@@ -98,18 +98,6 @@ def parse_element(text: str) -> GroupElement:
     return GroupElement(refl, exp)
 
 
-def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
-    return x * y
-
-
-def inverse(x: GroupElement) -> GroupElement:
-    return x.inverse()
-
-
-def conjugate(x: GroupElement, y: GroupElement) -> GroupElement:
-    return x.conjugate(y)
-
-
 # -- conjugacy classes -------------------------------------------------------
 
 ONE = "One"

@@ -1,7 +1,9 @@
 """Small exact linear algebra over Scalar matrices.
 
 Matrices are lists of lists (rows) of Scalar, all of one cyclotomic order.
-Sizes here are tiny (at most 2^7 square), so everything is dense.
+Sizes here are small (the Nichols layer hands over one letter-content
+block at a time), so everything is dense.  Rank, kernel and inverse all go
+through one Gauss-Jordan elimination over Q(zeta_N).
 """
 
 from __future__ import annotations
@@ -45,63 +47,44 @@ def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def mat_inverse(a):
-    """Exact inverse by Gauss-Jordan; raises ZeroDivisionError if singular."""
-    n = len(a)
-    order = a[0][0].order
-    work = [list(row) + list(irow) for row, irow in zip(a, identity(n, order))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+def _row_reduce(a):
+    """Reduced row echelon form by Gauss-Jordan elimination.
+
+    Returns (rows, pivots): rows[r] for r < len(pivots) has a 1 in column
+    pivots[r] and 0 in every other pivot column; the remaining rows are
+    zero.  One field inversion per pivot.
+    """
+    rows = [list(r) for r in a]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if not rows[r][col].is_zero()), None)
         if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [inv * c for c in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [c - f * p for c, p in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = rows[top][col].inverse()
+        prow = rows[top] = [inv * c for c in rows[top]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != top and not f.is_zero():
+                rows[r] = [c - f * p for c, p in zip(row, prow)]
+        pivots.append(col)
+    return rows, pivots
 
 
 def exact_rank(a) -> int:
-    """Rank by fraction-free (Bareiss) elimination.
+    """Exact rank over Q(zeta_N)."""
+    return len(_row_reduce(a)[1])
 
-    Entries after step k are k x k minors of the input, so every division by
-    the previous pivot is exact; over Q(zeta_N) it is performed with one field
-    inversion per pivot step.
-    """
-    if not a or not a[0]:
-        return 0
-    rows = [list(r) for r in a if any(not c.is_zero() for c in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    order = rows[0][0].order
-    prev_inv = Scalar.one(order)
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv_row = next(
-            (r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
-        if piv_row is None:
-            col += 1
-            continue
-        rows[rank], rows[piv_row] = rows[piv_row], rows[rank]
-        piv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            head = rows[r][col]
-            if head.is_zero():
-                rows[r] = [prev_inv * (piv * c) for c in rows[r]]
-            else:
-                rows[r] = [
-                    prev_inv * (piv * c - head * p)
-                    for c, p in zip(rows[r], rows[rank])
-                ]
-        prev_inv = piv.inverse()
-        rank += 1
-        col += 1
-    return rank
+
+def mat_inverse(a):
+    """Exact inverse; raises ZeroDivisionError if singular."""
+    n = len(a)
+    ident = identity(n, a[0][0].order)
+    rows, pivots = _row_reduce([list(row) + irow for row, irow in zip(a, ident)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in rows]
 
 
 def nullspace(a):
@@ -109,27 +92,13 @@ def nullspace(a):
     if not a:
         return []
     order = a[0][0].order
-    rows = [list(r) for r in a]
+    rows, pivots = _row_reduce(a)
     ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * c for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [c - f * p for c, p in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
     zero, one = Scalar.zero(order), Scalar.one(order)
-    for fc in free:
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [zero] * ncols
         vec[fc] = one
         for r, pc in enumerate(pivots):
@@ -150,8 +119,3 @@ def numeric_rank(a, tol: float = 1e-8) -> int:
         return 0
     cutoff = tol * max(float(s[0]), 1.0)
     return int((s > cutoff).sum())
-
-
-def row_span_rank(vectors) -> int:
-    """Rank of a list of coefficient vectors."""
-    return exact_rank([list(v) for v in vectors])

@@ -1,169 +1,96 @@
-"""Degree-truncated Nichols algebra computation.
+"""Degree-truncated Nichols algebra computation for diagonal braidings.
 
-The degree-n component of the Nichols algebra of a finite-dimensional
-braided vector space V is realized as the image of the quantum
-symmetrizer: the sum over S_n of the braid lifts of permutations (each
-permutation is lifted along any reduced word; the braid equation makes the
-lift reduced-word independent).  dim B^n(V) is then the exact rank of that
-matrix over Q(zeta_N).
+Every finite-dimensional family here is of diagonal type,
+c(x_i (x) x_j) = q_ij x_j (x) x_i with (q_ij) from ydmod.diagonal_type.
+The degree-n component of the Nichols algebra is the image of the quantum
+symmetrizer Sym_n, the sum over S_n of the braid lifts of permutations, and
+dim B^n(V) is its exact rank over Q(zeta_N).
 
-The sum over S_n is evaluated with the length-additive coset factorization
-  Sym_n = (sum_{j=1..n} c_j c_{j+1} ... c_{n-1}) . (Sym_{n-1} (x) id),
-which is the same matrix as the naive n!-term sum (the tests compare the
-two for small n).  Infinite-dimensional modules are rejected: their
-braiding indices grow without bound, so no finite window is c-stable.
+The length-additive coset factorization
+  Sym_n = (sum_{j=1..n} c_j c_{j+1} ... c_{n-1}) . (Sym_{n-1} (x) id)
+reads, on words u, w of letter indices,
+  Sym_n[u, w] = sum_{j: u_j = w_n} prod_{k>j} q(u_k, u_j) Sym_{n-1}[u - u_j, w - w_n]
+with Sym_0 = 1; it is the same matrix as the naive n!-term sum (the tests
+compare the two for small n).  A diagonal braiding only permutes letters, so
+Sym_n is block diagonal by letter content (the multiset of letters of a
+word) and its rank is the sum of the block ranks.
 
-Operations refuse degrees past the configured cap instead of switching to
+Infinite-dimensional modules and braidings that are not diagonal are
+rejected.  Operations refuse degrees past DEGREE_CAP instead of switching to
 approximation; the floating-point route exists only as an independent
 cross-check oracle (linalg.numeric_rank).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Optional, Sequence
+from itertools import product
+from typing import Optional
 
 from . import linalg
 from .field import Scalar
-from .ydmod import BasisVector, YDModule, braid_word_at
+from .ydmod import YDModule, diagonal_type
 
-DEGREE_CAP = 7
-
-Word = tuple  # tuple of BasisVector
+DEGREE_CAP = 8
 
 
-def braid_at(m: YDModule, i: int, w: Word):
-    """Apply c to letters (i, i+1) of w, 1-indexed; returns (coeff, word)."""
-    return braid_word_at(m, Scalar.one(m.order), tuple(w), i)
+def _braiding_matrix(m: YDModule, basis=None):
+    """(q_ij) of m, rows and columns in the order of ``basis``."""
+    q = diagonal_type(m)  # raises ValueError for infinite modules
+    if q is None:
+        raise ValueError(f"{m!r} is not of diagonal type")
+    if basis is None:
+        return q
+    pos = [m.basis().index(v) for v in basis]
+    return [[q[i][j] for j in pos] for i in pos]
 
 
-def reduced_word(p: Sequence[int]) -> tuple[int, ...]:
-    """A reduced word (as 1-based adjacent transposition indices) for p.
+def _check_degree(degree: int):
+    if degree > DEGREE_CAP:
+        raise ValueError(f"degree {degree} exceeds the cap {DEGREE_CAP}")
 
-    p is in one-line notation; repeatedly removing the first descent yields
-    identity = p s_{i_1} ... s_{i_k}, so p = s_{i_k} ... s_{i_1}.
+
+def _symmetrizer_rows(q, order: int):
+    """row(u) = {w: Sym_n[u, w]} for a word u of letter indices, n = len(u).
+
+    The keys w have the letter content of u.  Rows are memoized for the
+    lifetime of the returned function.
     """
-    q = list(p)
-    picked = []
-    while True:
-        i = next((j for j in range(len(q) - 1) if q[j] > q[j + 1]), None)
-        if i is None:
-            break
-        q[i], q[i + 1] = q[i + 1], q[i]
-        picked.append(i + 1)
-    return tuple(reversed(picked))
+    one = Scalar.one(order)
+    memo = {(): {(): one}}
+
+    def row(u):
+        if u not in memo:
+            out = {}
+            for j, x in enumerate(u):
+                coeff = math.prod((q[y][x] for y in u[j + 1:]), start=one)
+                for w, v in row(u[:j] + u[j + 1:]).items():
+                    key, term = w + (x,), coeff * v
+                    out[key] = out[key] + term if key in out else term
+            memo[u] = out
+        return memo[u]
+
+    return row
 
 
-def reduced_word_alt(p: Sequence[int]) -> tuple[int, ...]:
-    """An independently chosen reduced word (last descent first)."""
-    q = list(p)
-    picked = []
-    while True:
-        i = next((j for j in range(len(q) - 2, -1, -1) if q[j] > q[j + 1]), None)
-        if i is None:
-            break
-        q[i], q[i + 1] = q[i + 1], q[i]
-        picked.append(i + 1)
-    return tuple(reversed(picked))
+def quantum_symmetrizer(m: YDModule, degree: int, basis=None):
+    """Matrix of Sym_n in the word basis of V^(x)n; column w is Sym_n(w).
 
-
-@dataclass(frozen=True)
-class MonomialOperator:
-    """Composition of braidings along a position chain.
-
-    Monomial: every word maps to a single scalar multiple of a word of the
-    same length.  ``positions`` are applied right to left, matching operator
-    composition c_{i1} o ... o c_{ik}.
+    Words are ordered lexicographically in the letters of ``basis``.  The
+    matrix is zero off the letter-content blocks.
     """
-
-    module: YDModule
-    positions: tuple[int, ...]
-
-    def apply(self, w: Word):
-        coeff = Scalar.one(self.module.order)
-        word = tuple(w)
-        for i in reversed(self.positions):
-            coeff, word = braid_word_at(self.module, coeff, word, i)
-        return coeff, word
-
-    def matrix(self, length: int, basis=None):
-        words = word_basis(self.module, length, basis)
-        index = {w: k for k, w in enumerate(words)}
-        out = linalg.zeros(len(words), len(words), self.module.order)
-        for k, w in enumerate(words):
-            coeff, image = self.apply(w)
-            out[index[image]][k] = coeff
-        return out
-
-
-def lift_permutation(m: YDModule, p: Sequence[int],
-                     cap: int = DEGREE_CAP) -> MonomialOperator:
-    """Braid lift of a permutation of {1..n} along a reduced word.
-
-    Well-defined independently of the chosen reduced word because the
-    braiding satisfies the braid equation.
-    """
-    if len(p) > cap:
-        raise ValueError(f"degree {len(p)} exceeds the configured cap {cap}")
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"{p!r} is not a permutation in one-line notation")
-    return MonomialOperator(m, reduced_word(p))
-
-
-def word_basis(m: YDModule, length: int, basis=None) -> list[Word]:
-    if m.dim is None:
-        raise ValueError("word basis requires a finite-dimensional module")
-    letters = list(basis) if basis is not None else m.basis()
-    return [tuple(w) for w in iter_product(letters, repeat=length)]
-
-
-def _tensor_with_identity(prev, d: int, order: int):
-    size = len(prev) * d
-    out = linalg.zeros(size, size, order)
-    for p, row in enumerate(prev):
-        for q, val in enumerate(row):
-            if not val.is_zero():
-                for a in range(d):
-                    out[p * d + a][q * d + a] = val
-    return out
-
-
-def quantum_symmetrizer(m: YDModule, degree: int, basis=None,
-                        cap: int = DEGREE_CAP):
-    """Matrix of the degree-n quantum symmetrizer in the word basis of V^(x)n.
-
-    Equals the sum of lift_permutation over all of S_n; computed by the
-    coset factorization described in the module docstring.
-    """
-    if m.dim is None:
-        raise ValueError("quantum symmetrizer requires a finite-dimensional module")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if degree > cap:
-        raise ValueError(f"degree {degree} exceeds the configured cap {cap}")
-    letters = list(basis) if basis is not None else m.basis()
-    current = linalg.identity(m.dim, m.order)
-    for n in range(2, degree + 1):
-        current = _symmetrizer_step(m, current, letters, n)
-    return current
-
-
-def quantum_symmetrizer_naive(m: YDModule, degree: int, basis=None,
-                              cap: int = DEGREE_CAP):
-    """The definitional n!-term sum; kept as the oracle for the fast route."""
-    from itertools import permutations
-
-    if degree > cap:
-        raise ValueError(f"degree {degree} exceeds the configured cap {cap}")
-    words = word_basis(m, degree, basis)
+    _check_degree(degree)
+    q = _braiding_matrix(m, basis)
+    row = _symmetrizer_rows(q, m.order)
+    words = list(product(range(len(q)), repeat=degree))
+    index = {w: k for k, w in enumerate(words)}
     out = linalg.zeros(len(words), len(words), m.order)
-    for p in permutations(range(1, degree + 1)):
-        mat = lift_permutation(m, p, cap).matrix(degree, basis)
-        for i in range(len(words)):
-            for j in range(len(words)):
-                if not mat[i][j].is_zero():
-                    out[i][j] = out[i][j] + mat[i][j]
+    for i, u in enumerate(words):
+        for w, v in row(u).items():
+            out[i][index[w]] = v
     return out
 
 
@@ -189,48 +116,21 @@ class HilbertPrefix:
         return len(self.dims)
 
 
-def graded_dims(m: YDModule, max_degree: int, basis=None,
-                cap: int = DEGREE_CAP) -> HilbertPrefix:
+def graded_dims(m: YDModule, max_degree: int, basis=None) -> HilbertPrefix:
     """Exact graded dimensions of the Nichols algebra up to max_degree."""
-    if m.dim is None:
-        raise ValueError("graded_dims requires a finite-dimensional module; "
-                         "infinite-support families are classified by rule R1")
-    if max_degree > cap:
-        raise ValueError(f"max degree {max_degree} exceeds the configured cap {cap}")
+    _check_degree(max_degree)
+    q = _braiding_matrix(m, basis)
+    row = _symmetrizer_rows(q, m.order)
+    zero = Scalar.zero(m.order)
     dims = [1]
-    if max_degree >= 1:
-        dims.append(m.dim)
-    d = m.dim
-    letters = list(basis) if basis is not None else m.basis()
-    current = linalg.identity(d, m.order)
-    for n in range(2, max_degree + 1):
-        current = _symmetrizer_step(m, current, letters, n)
-        dims.append(linalg.exact_rank(current))
+    for n in range(1, max_degree + 1):
+        blocks = {}
+        for u in product(range(len(q)), repeat=n):
+            blocks.setdefault(tuple(sorted(u)), []).append(u)
+        dims.append(sum(
+            linalg.exact_rank([[row(u).get(w, zero) for w in words] for u in words])
+            for words in blocks.values()))
     return HilbertPrefix(tuple(dims))
-
-
-def _symmetrizer_step(m, prev, letters, n):
-    # one degree of the iteration inside quantum_symmetrizer
-    d = len(letters)
-    expanded = _tensor_with_identity(prev, d, m.order)
-    words = [tuple(w) for w in iter_product(letters, repeat=n)]
-    index = {w: k for k, w in enumerate(words)}
-    size = len(words)
-    result = [row[:] for row in expanded]
-    for j in range(1, n):
-        chain = tuple(range(j, n))
-        for k, w in enumerate(words):
-            coeff = Scalar.one(m.order)
-            word = w
-            for i in reversed(chain):
-                coeff, word = braid_word_at(m, coeff, word, i)
-            target = result[index[word]]
-            src = expanded[k]
-            for col in range(size):
-                v = src[col]
-                if not v.is_zero():
-                    target[col] = target[col] + coeff * v
-    return result
 
 
 # -- growth analysis ----------------------------------------------------------

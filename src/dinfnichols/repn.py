@@ -326,7 +326,7 @@ def is_irreducible(rep: FinRep) -> bool:
         layer = [linalg.mat_mul(w, m) for w in layer for m in gens]
         words.extend(layer)
     flat = [[c for row in w for c in row] for w in words]
-    return linalg.row_span_rank(flat) == rep.dim ** 2
+    return linalg.exact_rank(flat) == rep.dim ** 2
 
 
 def rep_iso_check(r1: FinRep, r2: FinRep) -> bool:

@@ -68,6 +68,11 @@ def test_nichols_rejects_infinite(capsys):
         main(["nichols", "--family", "g-class", "--rep", "sign"])
 
 
+def test_nichols_rejects_past_cap(capsys):
+    with pytest.raises(SystemExit, match="exceeds the degree cap 8"):
+        main(["nichols", "--family", "h-class", "--a", "2", "--max-degree", "9"])
+
+
 def test_classify_json_schema_and_formats(tmp_path, capsys):
     grid = {"n": [1], "a": ["1", "-1", "2"], "lambda": ["0", "2"]}
     grid_file = tmp_path / "grid.json"

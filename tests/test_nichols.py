@@ -1,26 +1,31 @@
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from dinfnichols.field import Scalar
-from dinfnichols.linalg import exact_rank, identity, mat_eq, numeric_rank
+from dinfnichols.linalg import exact_rank, identity, mat_eq, numeric_rank, zeros
 from dinfnichols.nichols import (
+    DEGREE_CAP,
     GrowthFit,
     HilbertPrefix,
-    braid_at,
     graded_dims,
     growth_fit,
-    lift_permutation,
     quantum_symmetrizer,
-    quantum_symmetrizer_naive,
-    reduced_word,
-    reduced_word_alt,
-    word_basis,
 )
 from dinfnichols.repn import simple_modules
-from dinfnichols.ydmod import V2, X1, X2, g_class, h_class, one_class
+from dinfnichols.ydmod import (
+    V2,
+    X1,
+    X2,
+    BraidTerm,
+    YDModule,
+    braid_word_at,
+    g_class,
+    h_class,
+    one_class,
+)
 
 ORDER = 12
 
@@ -32,6 +37,120 @@ def rat(q):
 def one_class_module(label, lam):
     cand = {c.label: c for c in simple_modules(lam)}[label]
     return one_class(cand.rep, label)
+
+
+# -- oracle: the definitional symmetrizer, a sum of word-level braid lifts ---
+# It braids through ydmod.braid_word_at (coaction then action), so it does
+# not share the braiding matrix that the library's engine starts from.
+
+def braid_at(m, i, w):
+    """Apply c to letters (i, i+1) of w, 1-indexed; returns (coeff, word)."""
+    return braid_word_at(m, Scalar.one(m.order), tuple(w), i)
+
+
+def reduced_word(p):
+    """A reduced word (as 1-based adjacent transposition indices) for p.
+
+    p is in one-line notation; repeatedly removing the first descent yields
+    identity = p s_{i_1} ... s_{i_k}, so p = s_{i_k} ... s_{i_1}.
+    """
+    q = list(p)
+    picked = []
+    while True:
+        i = next((j for j in range(len(q) - 1) if q[j] > q[j + 1]), None)
+        if i is None:
+            break
+        q[i], q[i + 1] = q[i + 1], q[i]
+        picked.append(i + 1)
+    return tuple(reversed(picked))
+
+
+def reduced_word_alt(p):
+    """An independently chosen reduced word (last descent first)."""
+    q = list(p)
+    picked = []
+    while True:
+        i = next((j for j in range(len(q) - 2, -1, -1) if q[j] > q[j + 1]), None)
+        if i is None:
+            break
+        q[i], q[i + 1] = q[i + 1], q[i]
+        picked.append(i + 1)
+    return tuple(reversed(picked))
+
+
+def apply_braids(m, positions, w):
+    """c_{i1} o ... o c_{ik} applied to w (rightmost first)."""
+    coeff, word = Scalar.one(m.order), tuple(w)
+    for i in reversed(positions):
+        coeff, word = braid_word_at(m, coeff, word, i)
+    return coeff, word
+
+
+def lift_permutation(m, p):
+    """Braid lift of a permutation of {1..n}, as a map word -> (coeff, word).
+
+    Braids along reduced_word(p); the braid equation makes the result
+    independent of the reduced word.
+    """
+    if len(p) > DEGREE_CAP:
+        raise ValueError(f"degree {len(p)} exceeds the cap {DEGREE_CAP}")
+    if sorted(p) != list(range(1, len(p) + 1)):
+        raise ValueError(f"{p!r} is not a permutation in one-line notation")
+    positions = reduced_word(p)
+    return lambda w: apply_braids(m, positions, w)
+
+
+def word_basis(m, length, basis=None):
+    letters = list(basis) if basis is not None else m.basis()
+    return list(product(letters, repeat=length))
+
+
+def quantum_symmetrizer_naive(m, degree, basis=None):
+    """The definitional n!-term sum of braid lifts."""
+    words = word_basis(m, degree, basis)
+    index = {w: k for k, w in enumerate(words)}
+    out = zeros(len(words), len(words), m.order)
+    for p in permutations(range(1, degree + 1)):
+        lift = lift_permutation(m, p)
+        for k, w in enumerate(words):
+            coeff, image = lift(w)
+            out[index[image]][k] = out[index[image]][k] + coeff
+    return out
+
+
+class Stub(YDModule):
+    """A finite test-only module on x1, x2; subclasses give the braiding."""
+
+    dim = 2
+    order = ORDER
+
+    def basis(self):
+        return [X1, X2]
+
+
+class DiagonalStub(Stub):
+    """c(x_i (x) x_j) = q_ij x_j (x) x_i for any q.
+
+    The families of the library all have symmetric q with q_11 = q_22; a
+    generic q shows transposed or mislabelled braiding entries.
+    """
+
+    def __init__(self, q):
+        self.q = q
+
+    def braid(self, v, w):
+        i, j = self.basis().index(v), self.basis().index(w)
+        return BraidTerm(self.q[i][j], w, v)
+
+
+class FlipFreeStub(Stub):
+    """c(v (x) w) = v (x) w: monomial, but not diagonal."""
+
+    def braid(self, v, w):
+        return BraidTerm(Scalar.one(ORDER), v, w)
+
+
+GENERIC_Q = DiagonalStub([[rat(2), rat(3)], [rat(-1), Scalar.zeta(12)]])
 
 
 def test_braid_at_examples():
@@ -63,25 +182,19 @@ def test_lift_permutation_reduced_word_independent():
             continue
         for n in (2, 3, 4):
             for p in permutations(range(1, n + 1)):
-                op1 = lift_permutation(m, p)
-                w2 = reduced_word_alt(p)
+                lift, alt = lift_permutation(m, p), reduced_word_alt(p)
                 for word in word_basis(m, n):
-                    c1, out1 = op1.apply(word)
-                    c2, out2 = Scalar.one(ORDER), word
-                    from dinfnichols.ydmod import braid_word_at
-                    for i in reversed(w2):
-                        c2, out2 = braid_word_at(m, c2, out2, i)
-                    assert c1 == c2 and out1 == out2
+                    assert lift(word) == apply_braids(m, alt, word)
 
 
 def test_lift_identity_and_transposition():
     m = h_class(1, rat(2))
     ident = lift_permutation(m, (1, 2))
     for word in word_basis(m, 2):
-        c, out = ident.apply(word)
+        c, out = ident(word)
         assert c == Scalar.one(ORDER) and out == word
     swap = lift_permutation(m, (2, 1))
-    c, out = swap.apply((X1, X2))
+    c, out = swap((X1, X2))
     assert c == rat("1/2") and out == (X2, X1)
 
 
@@ -90,7 +203,7 @@ def test_lift_permutation_validation():
     with pytest.raises(ValueError):
         lift_permutation(m, (1, 1))
     with pytest.raises(ValueError):
-        lift_permutation(m, tuple(range(1, 9)))  # past the cap
+        lift_permutation(m, tuple(range(1, DEGREE_CAP + 2)))  # past the cap
 
 
 def test_symmetrizer_degree2_is_id_plus_c():
@@ -108,10 +221,25 @@ def test_symmetrizer_degree2_is_id_plus_c():
 
 def test_symmetrizer_matches_naive_sum():
     for m in (h_class(1, rat(2)), h_class(1, Scalar.zeta(12, 4)),
-              one_class_module("s0+", rat(0))):
+              one_class_module("s0+", rat(0)), GENERIC_Q):
+        swapped = list(reversed(m.basis()))
         for n in (2, 3, 4):
             assert mat_eq(quantum_symmetrizer(m, n),
                           quantum_symmetrizer_naive(m, n))
+            assert mat_eq(quantum_symmetrizer(m, n, basis=swapped),
+                          quantum_symmetrizer_naive(m, n, basis=swapped))
+
+
+def test_symmetrizer_zero_off_content_blocks():
+    for m in (h_class(1, rat(2)), h_class(1, Scalar.zeta(12, 4)),
+              one_class_module("s0+", rat(0)), GENERIC_Q):
+        for n in (3, 5):
+            words = list(product(range(2), repeat=n))
+            sym = quantum_symmetrizer(m, n)
+            for i, u in enumerate(words):
+                for k, w in enumerate(words):
+                    if sorted(u) != sorted(w):
+                        assert sym[i][k].is_zero(), (m, u, w)
 
 
 def test_symmetrizer_rank_examples():
@@ -146,15 +274,33 @@ def test_graded_dims_invariant_under_renumbering():
         assert list(graded_dims(m, 4)) == list(graded_dims(m, 4, basis=swapped))
 
 
+def test_graded_dims_degree7_closed_forms():
+    # a not a root of unity of order <= 7: B(V) = U_q^+(A1^(1)), series
+    # prod_{m odd} (1 - t^m)^-2 prod_{m even} (1 - t^m)^-1
+    for a in (rat(2), Scalar.zeta(12)):
+        assert list(graded_dims(h_class(1, a), 7)) == [1, 2, 4, 8, 14, 24, 40, 64]
+    # no closed form for a = z^4 (order 3); the float SVD rank is the oracle
+    # here, but not for a = 2, where it is ill-conditioned at degree 7
+    m = h_class(1, Scalar.zeta(12, 4))
+    top = numeric_rank(quantum_symmetrizer(m, 7))
+    assert top == 36 and graded_dims(m, 7)[7] == top
+
+
+def test_graded_dims_rejects_non_diagonal():
+    with pytest.raises(ValueError):
+        graded_dims(FlipFreeStub(), 2)
+    with pytest.raises(ValueError):
+        quantum_symmetrizer(FlipFreeStub(), 2)
+
+
 def test_graded_dims_rejects_infinite_and_past_cap():
     with pytest.raises(ValueError):
         graded_dims(g_class("sign"), 3)
     with pytest.raises(ValueError):
-        graded_dims(h_class(1, rat(1)), 8)
+        graded_dims(h_class(1, rat(1)), 9)
     with pytest.raises(ValueError):
         quantum_symmetrizer(h_class(1, rat(1)), 9)
-    # an explicit cap override is allowed
-    assert list(graded_dims(h_class(1, rat(-1)), 8, cap=8))[-1] == 0
+    assert list(graded_dims(h_class(1, rat(-1)), 8))[-1] == 0
 
 
 def test_exact_rank_matches_numeric_rank():
