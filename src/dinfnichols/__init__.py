@@ -3,7 +3,6 @@ over the infinite dihedral group, with a finite-GK-dimension classifier."""
 
 from .field import (
     DEFAULT_ORDER,
-    Rational,
     Scalar,
     cyclotomic_polynomial,
     parse_scalar,

@@ -12,8 +12,10 @@ Three rules, each verified against computed structure before use:
 * R3  trivial braiding (one-class): the Nichols algebra is a polynomial
       algebra, GK-dim = dim V.
 
-Finite verdicts must be consistent with the computed growth estimate;
-an inconsistency raises EvidenceError instead of silently overriding.
+R2 and R3 first require the computed braiding matrix to equal the closed
+form ``tables.closed_form_q``; the Hilbert evidence is cached on that matrix.
+Finite verdicts must be consistent with the computed growth estimate; any
+mismatch raises EvidenceError instead of silently overriding.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from .field import Scalar
 from .group import class_is_infinite
 from .nichols import POLYNOMIAL, TERMINATES, GrowthFit, graded_dims, growth_fit
 from .repn import SimpleCandidate, rep_iso_check, simple_modules
+from .tables import closed_form_q
 from .ydmod import (
     EPS,
+    REFLECTION_FAMILIES,
     SIGN,
-    GClassModule,
-    GhClassModule,
     HClassModule,
     OneClassModule,
     YDModule,
@@ -116,10 +118,9 @@ def enumerate_families(grid: ParamGrid, order: int = 12) -> list[FamilyInstance]
                 raise ValueError("parameter a must be nonzero")
             out.append(FamilyInstance(
                 HClassModule(n, a), "h-class", {"n": n, "a": str(a)}))
-    for rep in (SIGN, EPS):
-        out.append(FamilyInstance(GClassModule(rep, order), "g-class", {"rep": rep}))
-    for rep in (SIGN, EPS):
-        out.append(FamilyInstance(GhClassModule(rep, order), "gh-class", {"rep": rep}))
+    for family, module_class in REFLECTION_FAMILIES.items():
+        for rep in (SIGN, EPS):
+            out.append(FamilyInstance(module_class(rep, order), family, {"rep": rep}))
     for lam in grid.lambdas:
         for cand in simple_modules(lam):
             if cand.axiom.ok:
@@ -130,17 +131,17 @@ def enumerate_families(grid: ParamGrid, order: int = 12) -> list[FamilyInstance]
     return out
 
 
-def _hilbert_evidence(module, cache):
-    key = _braiding_key(module)
+def _hilbert_evidence(module, matrix, cache):
+    # the Hilbert series depends only on the braiding matrix
+    key = tuple(map(tuple, matrix))
     if key not in cache:
         prefix = graded_dims(module, EVIDENCE_DEGREE)
         cache[key] = (list(prefix.dims), growth_fit(prefix))
     return cache[key]
 
 
-def _braiding_key(module):
-    mat = diagonal_type(module)
-    return tuple(tuple(str(c) for c in row) for row in mat) if mat else None
+def _strings(matrix):
+    return [[str(c) for c in row] for row in matrix]
 
 
 def classify(instance: FamilyInstance, cache: Optional[dict] = None) -> Verdict:
@@ -162,57 +163,35 @@ def classify(instance: FamilyInstance, cache: Optional[dict] = None) -> Verdict:
                        {"support": str(module.support),
                         "distinct_degrees": degrees})
 
+    try:
+        expected = closed_form_q(module)
+    except TypeError:
+        raise EvidenceError(
+            f"no classification rule applies to {instance.describe()}") from None
     matrix = diagonal_type(module)
-    if matrix is None:
-        raise EvidenceError(f"{instance.describe()} has no diagonal braiding")
-    matrix_str = [[str(c) for c in row] for row in matrix]
+    if matrix != expected:
+        shown = None if matrix is None else _strings(matrix)
+        raise EvidenceError(
+            f"{instance.describe()}: braiding matrix {shown} is not the "
+            f"closed form {_strings(expected)}")
 
-    if isinstance(module, HClassModule):
-        a = module.a
-        a_inv = a.inverse()
-        expected = [[a, a_inv], [a_inv, a]]
-        if matrix != expected:
-            raise EvidenceError(
-                f"{instance.describe()}: braiding matrix {matrix_str} is not "
-                "of the expected symmetric form")
-        one = Scalar.one(module.order)
-        if a == one:
-            verdict = Verdict(True, 2, "R2_Diagonal", {})
-        elif a == -one:
-            verdict = Verdict(True, 0, "R2_Diagonal", {})
-        else:
-            dims, fit = _hilbert_evidence(module, cache)
-            return Verdict(False, None, "R2_Diagonal", {
-                "braiding_matrix": matrix_str,
-                "note": "a^2 != 1: infinite by cited rule; truncated growth "
-                        "attached as supporting evidence",
-                "hilbert_prefix": dims,
-                "growth": fit.as_json(),
-            })
-        dims, fit = _hilbert_evidence(module, cache)
-        _require_consistent(instance, verdict.gk, dims, fit)
-        return Verdict(verdict.finite, verdict.gk, verdict.rule, {
-            "braiding_matrix": matrix_str,
-            "hilbert_prefix": dims,
-            "growth": fit.as_json(),
-        })
-
+    one = Scalar.one(module.order)
     if isinstance(module, OneClassModule):
-        one = Scalar.one(module.order)
-        if any(c != one for row in matrix for c in row):
-            raise EvidenceError(
-                f"{instance.describe()}: one-class braiding should be trivial, "
-                f"got {matrix_str}")
-        gk = module.dim
-        dims, fit = _hilbert_evidence(module, cache)
-        _require_consistent(instance, gk, dims, fit)
-        return Verdict(True, gk, "R3_TrivialBraiding", {
-            "braiding_matrix": matrix_str,
-            "hilbert_prefix": dims,
-            "growth": fit.as_json(),
-        })
-
-    raise EvidenceError(f"no classification rule applies to {instance.describe()}")
+        rule, gk = "R3_TrivialBraiding", module.dim
+    else:
+        rule, gk = "R2_Diagonal", {one: 2, -one: 0}.get(module.a)
+    dims, fit = _hilbert_evidence(module, matrix, cache)
+    evidence = {
+        "braiding_matrix": _strings(matrix),
+        "hilbert_prefix": dims,
+        "growth": fit.as_json(),
+    }
+    if gk is None:
+        evidence["note"] = ("a^2 != 1: infinite by cited rule; truncated "
+                            "growth attached as supporting evidence")
+        return Verdict(False, None, rule, evidence)
+    _require_consistent(instance, gk, dims, fit)
+    return Verdict(True, gk, rule, evidence)
 
 
 def _require_consistent(instance, gk, dims, fit: GrowthFit):

@@ -27,39 +27,38 @@ from .nichols import DEGREE_CAP, graded_dims, growth_fit
 from .repn import alambda_report, simple_modules
 from .tables import braiding_table_check
 from .verify import SUITES, run_suites
-from .ydmod import g_class, gh_class, h_class, one_class
+from .ydmod import EPS, REFLECTION_FAMILIES, SIGN, h_class, one_class
 
 
 def _build_module(args, order):
     family = args.family
-    if family == "h-class":
-        if args.a is None:
-            raise SystemExit("h-class requires --a")
-        return h_class(args.n, Scalar.parse(args.a, order))
-    if family == "g-class":
-        if args.rep not in ("sign", "eps"):
-            raise SystemExit("g-class requires --rep sign|eps")
-        return g_class(args.rep, order)
-    if family == "gh-class":
-        if args.rep not in ("sign", "eps"):
-            raise SystemExit("gh-class requires --rep sign|eps")
-        return gh_class(args.rep, order)
-    if family == "one-class":
-        if args.rep not in ("s0+", "s0-", "slam+", "slam-"):
-            raise SystemExit("one-class requires --rep s0+|s0-|slam+|slam-")
-        lam = Scalar.parse(args.lam, order) if args.lam is not None else None
-        if args.rep in ("s0+", "s0-"):
-            lam = Scalar.zero(order) if lam is None else lam
-        elif lam is None:
-            raise SystemExit("one-class slam+/slam- requires --lambda")
-        for cand in simple_modules(lam):
-            if cand.label == args.rep:
-                if not cand.axiom.ok:
-                    raise SystemExit(
-                        f"candidate {args.rep} at lambda={lam} fails module "
-                        f"axioms: {cand.axiom.witness}")
-                return one_class(cand.rep, cand.label)
-        raise SystemExit(f"no candidate {args.rep} at lambda={lam}")
+    try:
+        if family == "h-class":
+            if args.a is None:
+                raise SystemExit("h-class requires --a")
+            return h_class(args.n, Scalar.parse(args.a, order))
+        if family in REFLECTION_FAMILIES:
+            if args.rep not in (SIGN, EPS):
+                raise SystemExit(f"{family} requires --rep sign|eps")
+            return REFLECTION_FAMILIES[family](args.rep, order)
+        if family == "one-class":
+            if args.rep not in ("s0+", "s0-", "slam+", "slam-"):
+                raise SystemExit("one-class requires --rep s0+|s0-|slam+|slam-")
+            lam = Scalar.parse(args.lam, order) if args.lam is not None else None
+            if args.rep in ("s0+", "s0-"):
+                lam = Scalar.zero(order) if lam is None else lam
+            elif lam is None:
+                raise SystemExit("one-class slam+/slam- requires --lambda")
+            for cand in simple_modules(lam):
+                if cand.label == args.rep:
+                    if not cand.axiom.ok:
+                        raise SystemExit(
+                            f"candidate {args.rep} at lambda={lam} fails module "
+                            f"axioms: {cand.axiom.witness}")
+                    return one_class(cand.rep, cand.label)
+            raise SystemExit(f"no candidate {args.rep} at lambda={lam}")
+    except ValueError as exc:
+        raise SystemExit(f"{family}: {exc}") from None
     raise SystemExit(f"unknown family {family}")
 
 
@@ -109,6 +108,9 @@ def _cmd_nichols(args):
     if args.max_degree > DEGREE_CAP:
         raise SystemExit(f"nichols: --max-degree {args.max_degree} exceeds the "
                          f"degree cap {DEGREE_CAP}")
+    if args.max_degree < 3:
+        raise SystemExit(f"nichols: --max-degree {args.max_degree} is below 3, "
+                         "the least degree the growth fit needs")
     prefix = graded_dims(m, args.max_degree)
     print("degree,dim")
     for n, d in enumerate(prefix):
@@ -204,6 +206,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
+    if getattr(args, "window", 1) < 1:
+        parser.error("--window must be >= 1")
     return args.func(args)
 
 

@@ -19,9 +19,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-# reduced fraction with positive denominator and big-int precision
-Rational = Fraction
-
 DEFAULT_ORDER = 12
 
 _ZERO = Fraction(0)
@@ -389,7 +386,10 @@ def parse_scalar(text: str, order: int = DEFAULT_ORDER) -> Scalar:
         m = _TERM_RE.match(s, pos)
         if not m or m.end() == pos or (m.group("coeff") is None and m.group("z") is None):
             raise ValueError(f"cannot parse scalar term at {pos} in {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else _ONE
+        try:
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else _ONE
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator at {pos} in {text!r}") from None
         if m.group("z"):
             exp = int(m.group("exp")) if m.group("exp") else 1
             exp %= order

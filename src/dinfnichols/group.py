@@ -41,9 +41,6 @@ class GroupElement:
         """self * other * self^-1."""
         return self * other * self.inverse()
 
-    def is_identity(self) -> bool:
-        return self.reflection == 0 and self.exponent == 0
-
     def __pow__(self, n: int) -> "GroupElement":
         if self.reflection:
             return self if n % 2 else IDENTITY
@@ -72,10 +69,6 @@ class GroupElement:
     @classmethod
     def g(cls) -> "GroupElement":
         return GroupElement(1, 0)
-
-    @classmethod
-    def parse(cls, text: str) -> "GroupElement":
-        return parse_element(text)
 
 
 IDENTITY = GroupElement(0, 0)

@@ -1,15 +1,15 @@
-"""Closed-form braiding tables and the table-vs-composition checker.
+"""Closed-form braidings of the four families and the table-vs-composition checker.
 
-Each infinite family has a closed form for c(v (x) w) in terms of the
-a/b indices.  These transcriptions are *checked against* the braiding
-computed from the coaction-then-action composition, which is the ground
-truth; any mismatch is reported with a witness instead of being patched
-over.  Raw table output may use boundary labels (b with index 0, or b_1
-for the gh-class) that alias scalar multiples of a-vectors; both sides of
-the comparison are canonicalized first.
-
-For the finite families the closed form is: q-matrix [[a, a^-1], [a^-1, a]]
-for the h-class, and the plain flip for the one-class.
+This module is the one place that knows each family's closed form: one
+table for both reflection families, which differ only in the twist t of
+the coset basis u_k (:func:`reflection_table`), and the q-matrix
+[[a, a^-1], [a^-1, a]] (h-class) or all ones (one-class, the plain flip)
+of the finite families (:func:`closed_form_q`).  These transcriptions are
+*checked against* the braiding computed from the coaction-then-action
+composition, which is the ground truth; any mismatch is reported with a
+witness instead of being patched over.  Raw reflection-table output may use
+boundary labels (b with index 0, or b_1 for the gh-class) that alias scalar
+multiples of a-vectors; both sides of the comparison are canonicalized first.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from typing import Callable, Optional
 from .field import Scalar
 from .ydmod import (
     A,
+    EPS,
     BasisVector,
+    BraidTerm,
     HClassModule,
     OneClassModule,
     ReflectionClassModule,
@@ -32,39 +34,32 @@ from .ydmod import (
 RawEntry = tuple[int, str, int]
 TableFunc = Callable[[BasisVector, BasisVector], RawEntry]
 
+_OTHER_KIND = {"a": "b", "b": "a"}
 
-def g_class_table(rep_sign: int) -> TableFunc:
-    """c on the even-reflection family; rep_sign = rho(g) = +1 eps / -1 sign."""
-    s = rep_sign
+
+def reflection_table(twist: int, rep_sign: int) -> TableFunc:
+    """c on a reflection family: twist 0 is the g-class, 1 the gh-class;
+    rep_sign = rho of the class base point (+1 eps / -1 sign)."""
 
     def entry(v: BasisVector, w: BasisVector) -> RawEntry:
         m, n = v.index, w.index
-        if v.kind == "a" and w.kind == "a":
-            return (1, "b", n - 2 * m) if 2 * m < n else (s, "a", 2 * m - n)
-        if v.kind == "a" and w.kind == "b":
-            return (1, "a", 2 * m + n)
-        if v.kind == "b" and w.kind == "b":
-            return (1, "a", n - 2 * m) if 2 * m < n else (s, "b", 2 * m - n)
-        return (1, "b", 2 * m + n)
+        if v.kind != w.kind:
+            return (1, v.kind, 2 * m + n - twist)
+        if 2 * m - n < twist:
+            return (1, _OTHER_KIND[v.kind], n - 2 * m + twist)
+        return (rep_sign, v.kind, 2 * m - n)
 
     return entry
 
 
-def gh_class_table(rep_sign: int) -> TableFunc:
-    """c on the odd-reflection family; rep_sign = rho(gh)."""
-    s = rep_sign
-
-    def entry(v: BasisVector, w: BasisVector) -> RawEntry:
-        m, n = v.index, w.index
-        if v.kind == "a" and w.kind == "a":
-            return (1, "b", n - 2 * m + 1) if n > 2 * m - 1 else (s, "a", 2 * m - n)
-        if v.kind == "a" and w.kind == "b":
-            return (1, "a", n + 2 * m - 1)
-        if v.kind == "b" and w.kind == "b":
-            return (1, "a", n - 2 * m + 1) if n > 2 * m - 1 else (s, "b", 2 * m - n)
-        return (1, "b", n + 2 * m - 1)
-
-    return entry
+def closed_form_q(m: YDModule) -> list[list[Scalar]]:
+    """The braiding matrix (q_ij) of a finite family, from its parameters."""
+    if isinstance(m, HClassModule):
+        a, a_inv = m.a, m.a.inverse()
+        return [[a, a_inv], [a_inv, a]]
+    if isinstance(m, OneClassModule):
+        return [[Scalar.one(m.order)] * m.dim for _ in range(m.dim)]
+    raise TypeError(f"no closed-form braiding matrix for {m!r}")
 
 
 def canonicalize(m: ReflectionClassModule, raw: RawEntry):
@@ -91,64 +86,35 @@ class TableWitness:
 
 def braiding_table_check(m: YDModule, window: int,
                          table: Optional[TableFunc] = None) -> TableCheck:
-    """Compare braid(m, v, w) from act/coact with the closed-form table.
+    """Compare braid(m, v, w) from act/coact with the closed form.
 
     For the infinite families all label pairs with indices <= window are
-    checked; the finite families are checked exhaustively (window ignored).
-    Returns the first mismatch as a witness.
+    checked against ``table`` (default: :func:`reflection_table`); the
+    finite families are checked exhaustively against :func:`closed_form_q`
+    (window and table ignored).  Returns the first mismatch as a witness.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if isinstance(m, ReflectionClassModule):
-        return _check_reflection(m, window, table)
-    if isinstance(m, HClassModule):
-        return _check_h_class(m)
-    if isinstance(m, OneClassModule):
-        return _check_one_class(m)
-    raise TypeError(f"no braiding table for {m!r}")
+        if table is None:
+            table = reflection_table(m.twist, 1 if m.rep == EPS else -1)
 
+        def expected(v, w):
+            return canonicalize(m, table(v, w))
+    else:
+        q = closed_form_q(m)
+        position = {v: i for i, v in enumerate(m.basis())}
 
-def _check_reflection(m, window, table):
-    if table is None:
-        rep_sign = 1 if m.rep == "eps" else -1
-        table = (g_class_table if m.twist == 0 else gh_class_table)(rep_sign)
-    for v in m.basis_window(window):
-        for w in m.basis_window(window):
+        def expected(v, w):
+            return q[position[v]][position[w]], w
+
+    basis = m.basis_window(window)
+    for v in basis:
+        for w in basis:
             t = m.braid(v, w)
-            exp_coeff, exp_vec = canonicalize(m, table(v, w))
-            if t.coeff != exp_coeff or t.left != exp_vec:
-                witness = TableWitness(
-                    (str(v), str(w)),
-                    computed=f"({t.coeff})*{t.left}(x){t.right}",
-                    expected=f"({exp_coeff})*{exp_vec}(x){v}")
-                return TableCheck(False, witness)
-    return TableCheck(True)
-
-
-def _check_h_class(m):
-    a_inv = m.a.inverse()
-    for v in m.basis():
-        for w in m.basis():
-            t = m.braid(v, w)
-            expected = m.a if v == w else a_inv
-            if t.coeff != expected or t.left != w or t.right != v:
-                witness = TableWitness(
-                    (str(v), str(w)),
-                    computed=f"({t.coeff})*{t.left}(x){t.right}",
-                    expected=f"({expected})*{w}(x){v}")
-                return TableCheck(False, witness)
-    return TableCheck(True)
-
-
-def _check_one_class(m):
-    one = Scalar.one(m.order)
-    for v in m.basis():
-        for w in m.basis():
-            t = m.braid(v, w)
-            if t.coeff != one or t.left != w or t.right != v:
-                witness = TableWitness(
-                    (str(v), str(w)),
-                    computed=f"({t.coeff})*{t.left}(x){t.right}",
-                    expected=f"(1)*{w}(x){v}")
+            coeff, vec = expected(v, w)
+            if t.coeff != coeff or t.left != vec or t.right != v:
+                witness = TableWitness((str(v), str(w)), computed=str(t),
+                                       expected=str(BraidTerm(coeff, vec, v)))
                 return TableCheck(False, witness)
     return TableCheck(True)

@@ -141,14 +141,14 @@ def _same_comb(terms_a, terms_b) -> bool:
 
 def tables_suite(window: int = 8, seed: int = 0, order: int = 12) -> SuiteResult:
     res = SuiteResult()
-    for m in _sample_modules(order):
+    mods = _sample_modules(order)
+    for m in mods:
         check = braiding_table_check(m, window)
         res.record(f"closed-form table: {m!r} window={window}", check.ok,
                    "" if check.ok else str(check.witness))
-    fin = [m for m in _sample_modules(order) if m.dim is not None]
-    for m in fin:
-        mat = diagonal_type(m)
-        res.record(f"diagonal type exists: {m!r}", mat is not None)
+    for m in mods:
+        if m.dim is not None:
+            res.record(f"diagonal type exists: {m!r}", diagonal_type(m) is not None)
     return res
 
 

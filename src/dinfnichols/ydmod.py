@@ -203,7 +203,7 @@ class ReflectionClassModule(YDModule):
     are g h^{-2k} resp. g h^{1-2k}.
     """
 
-    base: str  # "g" or "gh"
+    twist: int
 
     def __init__(self, rep: str, order: int = DEFAULT_ORDER):
         if rep not in (SIGN, EPS):
@@ -212,12 +212,6 @@ class ReflectionClassModule(YDModule):
         self.order = order
         self.rho = Scalar.one(order) if rep == EPS else -Scalar.one(order)
         self.dim = None
-        if self.base == "g":
-            self.twist = 0
-            self.support = ConjClass(EVEN_REFLECTIONS)
-        else:
-            self.twist = 1
-            self.support = ConjClass(ODD_REFLECTIONS)
 
     def __repr__(self):
         return f"{type(self).__name__}(rep={self.rep!r})"
@@ -259,11 +253,13 @@ class ReflectionClassModule(YDModule):
 
 
 class GClassModule(ReflectionClassModule):
-    base = "g"
+    twist = 0
+    support = ConjClass(EVEN_REFLECTIONS)
 
 
 class GhClassModule(ReflectionClassModule):
-    base = "gh"
+    twist = 1
+    support = ConjClass(ODD_REFLECTIONS)
 
 
 class OneClassModule(YDModule):
@@ -338,6 +334,9 @@ def gh_class(rep: str, order: int = DEFAULT_ORDER) -> GhClassModule:
 
 def one_class(rep: FinRep, label: str = "one-class") -> OneClassModule:
     return OneClassModule(rep, label)
+
+
+REFLECTION_FAMILIES = {"g-class": GClassModule, "gh-class": GhClassModule}
 
 
 # -- checks -------------------------------------------------------------------

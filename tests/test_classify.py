@@ -5,6 +5,7 @@ import pytest
 
 from dinfnichols.classify import (
     EvidenceError,
+    FamilyInstance,
     ParamGrid,
     REPORT_SCHEMA,
     classify,
@@ -17,6 +18,8 @@ from dinfnichols.classify import (
 )
 from dinfnichols.field import Scalar
 from dinfnichols.group import conj_class_of, parse_element
+from dinfnichols.tables import braiding_table_check
+from dinfnichols.ydmod import X1, X2, HClassModule, SignedVector
 
 
 def grid_of(ns, a_values, lambdas):
@@ -189,3 +192,42 @@ def test_grid_serialization():
     assert js["n"] == [1, 2, 3]
     assert js["a"] == ["1", "-1", "2"]
     assert js["lambda"] == ["0", "2", "-2", "3"]
+
+
+class CorruptedHClass(HClassModule):
+    """Test-only h-class module whose h-power action is altered by ``corrupt``."""
+
+    def __init__(self, n, a, corrupt):
+        super().__init__(n, a)
+        self.corrupt = corrupt
+
+    def act(self, x, v):
+        (t,) = super().act(x, v)
+        if x.reflection or x.exponent == 0:
+            return (t,)
+        return (self.corrupt(v, t),)
+
+
+def _scale_x2(v, t):
+    # still diagonal, but q_12 = 2a^-1 instead of a^-1
+    return SignedVector(t.coeff * 2, t.vec) if v == X2 else t
+
+
+def _move_x1(v, t):
+    # h^n sends x1 to a multiple of x2: the braiding is no longer diagonal
+    return SignedVector(t.coeff, X2) if v == X1 else t
+
+
+@pytest.mark.parametrize("corrupt,pair", [(_scale_x2, ("x1", "x2")),
+                                          (_move_x1, ("x1", "x1"))])
+@pytest.mark.parametrize("a_str", ["1", "2"])
+def test_corrupted_finite_family_is_caught(corrupt, pair, a_str):
+    a = Scalar.parse(a_str, 12)
+    m = CorruptedHClass(1, a, corrupt)
+    check = braiding_table_check(m, 1)
+    assert not check.ok
+    assert check.witness.pair == pair
+    assert check.witness.computed != check.witness.expected
+    inst = FamilyInstance(m, "h-class", {"n": 1, "a": a_str})
+    with pytest.raises(EvidenceError, match="is not the closed form"):
+        classify(inst)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -71,6 +72,43 @@ def test_nichols_rejects_infinite(capsys):
 def test_nichols_rejects_past_cap(capsys):
     with pytest.raises(SystemExit, match="exceeds the degree cap 8"):
         main(["nichols", "--family", "h-class", "--a", "2", "--max-degree", "9"])
+
+
+def test_nichols_rejects_degree_below_growth_fit(capsys):
+    for degree in ("2", "0"):
+        with pytest.raises(SystemExit, match="below 3"):
+            main(["nichols", "--family", "h-class", "--a", "2",
+                  "--max-degree", degree])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--family", "h-class", "--a", "1/0"], "zero denominator"),
+    (["--family", "h-class", "--a", "0"], "a must be nonzero"),
+    (["--family", "h-class", "--a", "2", "--n", "0"], "n must be >= 1"),
+    (["--family", "one-class", "--rep", "slam+", "--lambda", "1/0"],
+     "zero denominator"),
+])
+def test_bad_family_parameters_exit_with_message(argv, message):
+    for command in ("braiding", "nichols"):
+        with pytest.raises(SystemExit, match=message):
+            main([command] + argv)
+
+
+def test_window_below_one_rejected(capsys):
+    with pytest.raises(SystemExit):
+        main(["braiding", "--family", "g-class", "--rep", "sign", "--window", "0"])
+    with pytest.raises(SystemExit):
+        main(["verify", "--suite", "tables", "--window", "0"])
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_classify_default_report_matches_golden(capsys):
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / \
+        "classify-default.json"
+    code, out = run_cli(capsys, "classify", "--all", "--format", "json")
+    assert code == 0
+    assert out == golden.read_text()
 
 
 def test_classify_json_schema_and_formats(tmp_path, capsys):

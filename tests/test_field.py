@@ -110,6 +110,10 @@ def test_string_roundtrip():
         parse_scalar("")
     with pytest.raises(ValueError):
         parse_scalar("q^2")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar("z+3/0")
 
 
 def test_numeric_embedding_cross_check():

@@ -6,7 +6,7 @@ import pytest
 from dinfnichols.field import Scalar
 from dinfnichols.group import GroupElement, conj_class_of
 from dinfnichols.repn import simple_modules
-from dinfnichols.tables import braiding_table_check, gh_class_table
+from dinfnichols.tables import braiding_table_check, reflection_table
 from dinfnichols.ydmod import (
     A,
     B,
@@ -269,7 +269,7 @@ def test_braiding_tables_finite():
 def test_table_check_reports_perturbed_table():
     # shift the second bb-branch index by +1; the checker must catch it
     m = gh_class("sign")
-    good = gh_class_table(-1)
+    good = reflection_table(1, -1)
 
     def perturbed(v, w):
         sign, kind, index = good(v, w)
