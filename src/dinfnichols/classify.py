@@ -114,8 +114,6 @@ def enumerate_families(grid: ParamGrid, order: int = 12) -> list[FamilyInstance]
     out = []
     for n in grid.ns:
         for a in grid.a_values:
-            if a.is_zero():
-                raise ValueError("parameter a must be nonzero")
             out.append(FamilyInstance(
                 HClassModule(n, a), "h-class", {"n": n, "a": str(a)}))
     for family, module_class in REFLECTION_FAMILIES.items():

@@ -63,7 +63,10 @@ def _build_module(args, order):
 
 
 def _cmd_alambda(args):
-    lam = Scalar.parse(args.lam, args.zeta_order)
+    try:
+        lam = Scalar.parse(args.lam, args.zeta_order)
+    except ValueError as exc:
+        raise SystemExit(f"alambda: {exc}") from None
     report = alambda_report(lam)
     if args.report != "structure":
         keys = {"idempotents": ["lambda", "idempotents"],
@@ -119,15 +122,31 @@ def _cmd_nichols(args):
     return 0
 
 
+def _load_grid(path, order):
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"grid file {path} is not JSON: {exc}") from None
+    if not isinstance(raw, dict) or not {"n", "a", "lambda"} <= raw.keys():
+        raise ValueError(f"grid file {path} must hold a JSON object with keys "
+                         "n, a, lambda")
+    if not (isinstance(raw["n"], list) and all(type(n) is int for n in raw["n"])):
+        raise ValueError("grid key n must be a list of integers")
+    for key in ("a", "lambda"):
+        if not (isinstance(raw[key], list)
+                and all(isinstance(s, str) for s in raw[key])):
+            raise ValueError(f"grid key {key} must be a list of scalar strings")
+    return ParamGrid.from_strings(raw["n"], raw["a"], raw["lambda"], order)
+
+
 def _cmd_classify(args):
     order = args.zeta_order
-    if args.grid:
-        with open(args.grid) as fh:
-            raw = json.load(fh)
-        grid = ParamGrid.from_strings(raw["n"], raw["a"], raw["lambda"], order)
-    else:
-        grid = default_grid(order)
-    report = theorem_table(grid, order)
+    try:
+        grid = _load_grid(args.grid, order) if args.grid else default_grid(order)
+        report = theorem_table(grid, order)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"classify: {exc}") from None
     if args.format == "json":
         print(report_json(report))
     elif args.format == "csv":
@@ -208,6 +227,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "window", 1) < 1:
         parser.error("--window must be >= 1")
+    if args.zeta_order < 1:
+        parser.error("--zeta-order must be >= 1")
     return args.func(args)
 
 

@@ -7,6 +7,14 @@ N is fixed per value ("order"); values of different orders never mix.
 The default order 12 contains +-1, +-i, zeta_3 and zeta_6, which covers
 every concrete parameter used by the verification suites.
 
+A value is stored as integer numerators over one common denominator
+(Cohen, *A Course in Computational Algebraic Number Theory*, 1993, 4.2):
+``nums`` holds phi(N) Python ints, ``den`` is a positive int, and
+``gcd(den, *nums) == 1``; zero is all zeros over 1.  Phi_N is monic with
+integer coefficients, so products reduce modulo Phi_N in integers; each
+operation ends with one gcd.  The form is canonical, so equality is tuple
+equality.
+
 Scalars are immutable and hashable; all operations are pure functions, so
 values can be shared freely between threads.
 """
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -52,18 +61,19 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple[tuple[Fraction, ...], ...]:
-    # Row k is x^(deg+k) mod Phi_order; enough rows for any product of two
-    # reduced polynomials and for zeta powers / parsed exponents below order.
+def _reduction_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row k is x^(deg+k) mod Phi_order as its nonzero (index, int) pairs;
+    # enough rows for any product of two reduced polynomials and for zeta
+    # powers / parsed exponents below order.
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
     count = max(deg - 1, order, 1)
     rows = []
-    cur = [Fraction(-c) for c in phi[:-1]]  # x^deg = -(lower part), Phi monic
+    cur = [-c for c in phi[:-1]]  # x^deg = -(lower part), Phi monic
     for _ in range(count):
-        rows.append(tuple(cur))
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
         top = cur[-1]
-        cur = [_ZERO] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             for j in range(deg):
                 cur[j] -= top * phi[j]
@@ -74,40 +84,67 @@ def _degree(order: int) -> int:
     return len(cyclotomic_polynomial(order)) - 1
 
 
-class Scalar:
-    """An element of Q(zeta_N), stored as a dense coefficient vector.
+@lru_cache(maxsize=None)
+def _zero_tail(order: int) -> tuple[int, ...]:
+    # the numerators of z^1 .. z^(deg-1) of a rational value
+    return (0,) * (_degree(order) - 1)
 
-    The vector has length deg Phi_N = phi(N); two scalars are equal iff
-    their reduced coefficient vectors are equal.  Construct via
-    :meth:`from_rational`, :meth:`zeta`, :meth:`parse`, or arithmetic.
-    Plain ``int``/``Fraction`` operands are coerced to the same order.
+
+def _reduce(order: int, nums: list[int]) -> list[int]:
+    """Reduce integer numerators of any length below order + deg mod Phi."""
+    deg = _degree(order)
+    if len(nums) <= deg:
+        return nums + [0] * (deg - len(nums))
+    rows = _reduction_rows(order)
+    out = nums[:deg]
+    for k in range(deg, len(nums)):
+        c = nums[k]
+        if c:
+            for j, r in rows[k - deg]:
+                out[j] += c * r
+    return out
+
+
+def _rational_parts(q) -> tuple[int, int]:
+    """(numerator, positive denominator) of an exact rational."""
+    if type(q) is int:
+        return q, 1
+    if isinstance(q, Fraction):
+        return q.numerator, q.denominator
+    if isinstance(q, numbers.Rational):
+        return int(q.numerator), int(q.denominator)
+    raise TypeError(f"exact scalars take int or Fraction values, "
+                    f"not {type(q).__name__}")
+
+
+class Scalar:
+    """An element of Q(zeta_N): integer numerators over one denominator.
+
+    ``nums`` has length deg Phi_N = phi(N) and holds the coefficients of
+    1, z, ..., z^(deg-1) times ``den``; ``den > 0`` and
+    ``gcd(den, *nums) == 1``, zero being all zeros over 1, so two scalars
+    are equal iff their ``(order, nums, den)`` are equal.  Construct via
+    :meth:`from_rational`, :meth:`zeta`, :meth:`parse`, ``Scalar(order,
+    coeffs)`` with int/Fraction coefficients, or arithmetic.  Plain
+    ``int``/``Fraction`` operands are coerced to the same order; ``float``
+    and ``complex`` are refused with ``TypeError``.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs):
-        deg = _degree(order)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = _reduce(order, cs)
-        cs += [_ZERO] * (deg - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, order: int, coeffs):
+        parts = [_rational_parts(c) for c in coeffs]
+        den = math.lcm(*(d for _, d in parts))
+        nums = _reduce(order, [n * (den // d) for n, d in parts])
+        return _canonical(order, nums, den)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
     @classmethod
-    def _unsafe(cls, order: int, coeffs: tuple) -> "Scalar":
-        # internal fast path: coeffs already a reduced tuple of Fractions
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "order", order)
-        object.__setattr__(obj, "coeffs", coeffs)
-        return obj
-
-    @classmethod
     def from_rational(cls, q, order: int = DEFAULT_ORDER) -> "Scalar":
-        return cls(order, [Fraction(q)])
+        n, d = _rational_parts(q)
+        return _new(order, (n,) + _zero_tail(order), d)
 
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "Scalar":
@@ -121,21 +158,20 @@ class Scalar:
     def zeta(cls, order: int = DEFAULT_ORDER, power: int = 1) -> "Scalar":
         """zeta_N^power as a Scalar of the given order."""
         power %= order
-        coeffs = [_ZERO] * power + [_ONE]
-        return cls(order, coeffs)
+        return cls(order, [0] * power + [1])
 
     # -- basic predicates ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -156,20 +192,30 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar._unsafe(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _canonical(self.order,
+                              [x + y for x, y in zip(self.nums, o.nums)], da)
+        return _canonical(
+            self.order,
+            [x * db + y * da for x, y in zip(self.nums, o.nums)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._unsafe(self.order, tuple(-a for a in self.coeffs))
+        return _new(self.order, tuple([-x for x in self.nums]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar._unsafe(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _canonical(self.order,
+                              [x - y for x, y in zip(self.nums, o.nums)], da)
+        return _canonical(
+            self.order,
+            [x * db - y * da for x, y in zip(self.nums, o.nums)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -181,25 +227,19 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if self.is_rational():
-            q = a[0]
-            if q == 0:
-                return _cached_const(self.order, 0)
-            return Scalar._unsafe(self.order, tuple(q * c for c in b))
-        if o.is_rational():
-            q = b[0]
-            if q == 0:
-                return _cached_const(self.order, 0)
-            return Scalar._unsafe(self.order, tuple(q * c for c in a))
+        a, b = self.nums, o.nums
+        if not any(a[1:]):
+            return _scale(a[0], self.den, o)
+        if not any(b[1:]):
+            return _scale(b[0], o.den, self)
         deg = len(a)
-        prod = [_ZERO] * (2 * deg - 1)
+        prod = [0] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        return Scalar._unsafe(self.order, tuple(_reduce(self.order, prod)))
+        return _canonical(self.order, _reduce(self.order, prod), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -208,10 +248,11 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero scalar")
         if self.is_rational():
-            return Scalar.from_rational(1 / self.coeffs[0], self.order)
+            return Scalar.from_rational(Fraction(self.den, self.nums[0]), self.order)
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # Bezout: s*self + t*Phi = gcd = const, so inverse = s / const.
-        r0, r1 = phi, _trim(list(self.coeffs))
+        # Bezout: s*p + t*Phi = gcd = const with p = den*self, so
+        # self^-1 = den * s / const.
+        r0, r1 = phi, _trim([Fraction(c) for c in self.nums])
         s0, s1 = [_ZERO], [_ONE]
         while len(r1) > 1 or r1[0] != 0:
             q, r = _poly_divmod(r0, r1)
@@ -219,7 +260,7 @@ class Scalar:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         const = r0[0]
         assert len(r0) == 1 and const != 0, "Phi_N must be irreducible over Q"
-        return Scalar(self.order, [c / const for c in s0])
+        return Scalar(self.order, [c * self.den / const for c in s0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -251,10 +292,14 @@ class Scalar:
         o = self._coerce(other) if not isinstance(other, Scalar) else other
         if not isinstance(o, Scalar):
             return NotImplemented
-        return self.order == o.order and self.coeffs == o.coeffs
+        return self.order == o.order and self.den == o.den and self.nums == o.nums
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        # a rational value hashes like the int/Fraction it equals
+        nums = self.nums
+        if not any(nums[1:]):
+            return hash(Fraction(nums[0], self.den))
+        return hash((self.order, nums, self.den))
 
     # -- conversions -------------------------------------------------------
 
@@ -262,8 +307,8 @@ class Scalar:
         """Numeric embedding zeta_N -> exp(2*pi*i/N)."""
         z = cmath.exp(2j * cmath.pi / self.order)
         val = 0j
-        for c in reversed(self.coeffs):
-            val = val * z + complex(c)
+        for c in reversed(self.nums):
+            val = val * z + complex(c / self.den)
         return val
 
     def __str__(self) -> str:
@@ -277,23 +322,46 @@ class Scalar:
         return parse_scalar(text, order)
 
 
+_set_order = Scalar.order.__set__
+_set_nums = Scalar.nums.__set__
+_set_den = Scalar.den.__set__
+_object_new = object.__new__
+
+
+def _new(order: int, nums: tuple, den: int) -> Scalar:
+    # nums/den already canonical
+    obj = _object_new(Scalar)
+    _set_order(obj, order)
+    _set_nums(obj, nums)
+    _set_den(obj, den)
+    return obj
+
+
+def _canonical(order: int, nums: list, den: int) -> Scalar:
+    # nums/den (den > 0) divided by their gcd
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    return _new(order, tuple(nums), den)
+
+
+def _scale(q: int, d: int, x: Scalar) -> Scalar:
+    """(q/d) * x for a canonical rational q/d."""
+    if not q:
+        return _cached_const(x.order, 0)
+    if d == 1:
+        if q == 1:
+            return x
+        if q == -1:
+            return -x
+    return _canonical(x.order, [q * c for c in x.nums], d * x.den)
+
+
 @lru_cache(maxsize=None)
 def _cached_const(order: int, value: int) -> Scalar:
-    return Scalar(order, [Fraction(value)])
-
-
-def _reduce(order: int, coeffs: list[Fraction]) -> list[Fraction]:
-    deg = _degree(order)
-    if len(coeffs) <= deg:
-        return coeffs
-    rows = _reduction_rows(order)
-    out = list(coeffs[:deg])
-    for k, c in enumerate(coeffs[deg:]):
-        if c:
-            row = rows[k]
-            for j in range(deg):
-                out[j] += c * row[j]
-    return out
+    return Scalar.from_rational(value, order)
 
 
 # -- small dense polynomial helpers over Fraction (constant term first) ----
@@ -339,10 +407,10 @@ def _poly_divmod(a, b):
 def format_scalar(x: Scalar) -> str:
     """Serialize as e.g. "3/2", "-1", "z^2+1/3" (z = zeta_N)."""
     terms = []
-    for k in range(len(x.coeffs) - 1, -1, -1):
-        c = x.coeffs[k]
-        if c == 0:
+    for k in range(len(x.nums) - 1, -1, -1):
+        if x.nums[k] == 0:
             continue
+        c = Fraction(x.nums[k], x.den)
         if k == 0:
             body = str(abs(c))
         else:

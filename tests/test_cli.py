@@ -103,6 +103,46 @@ def test_window_below_one_rejected(capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_alambda_bad_lambda_exits_with_message(capsys):
+    with pytest.raises(SystemExit, match="alambda: zero denominator"):
+        main(["alambda", "--lambda", "1/0"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("grid,message", [
+    ({"n": [0], "a": ["1"], "lambda": ["0"]}, "n must be >= 1"),
+    ({"n": [1], "a": ["0"], "lambda": ["0"]}, "a must be nonzero"),
+    ({"n": [1], "a": ["1/0"], "lambda": ["0"]}, "zero denominator"),
+    ({"n": [1], "lambda": ["0"]}, "keys n, a, lambda"),
+    ([1, 2], "keys n, a, lambda"),
+    ({"n": ["1"], "a": ["1"], "lambda": ["0"]}, "n must be a list of integers"),
+    ({"n": [1], "a": [2], "lambda": ["0"]}, "a must be a list of scalar strings"),
+    ("{not json", "is not JSON"),
+    (None, "No such file"),
+])
+def test_classify_bad_grid_exits_with_message(tmp_path, capsys, grid, message):
+    grid_file = tmp_path / "grid.json"
+    if grid is not None:
+        grid_file.write_text(grid if isinstance(grid, str) else json.dumps(grid))
+    with pytest.raises(SystemExit, match=message):
+        main(["classify", "--grid", str(grid_file)])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["alambda", "--lambda", "2"],
+    ["classify"],
+    ["verify", "--suite", "tables"],
+    ["braiding", "--family", "g-class", "--rep", "sign"],
+    ["nichols", "--family", "h-class", "--a", "2"],
+])
+def test_zeta_order_below_one_rejected(capsys, argv):
+    for order in ("0", "-3"):
+        with pytest.raises(SystemExit):
+            main(argv + ["--zeta-order", order])
+        assert "--zeta-order must be >= 1" in capsys.readouterr().err
+
+
 def test_classify_default_report_matches_golden(capsys):
     golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / \
         "classify-default.json"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -136,3 +137,188 @@ def test_hash_consistency():
     a = Scalar.zeta(12, 3) * Scalar.zeta(12, 9)
     b = Scalar.one(12)
     assert a == b and hash(a) == hash(b)
+
+
+# -- independent oracle: one Fraction per coefficient ------------------------
+#
+# The library stores integer numerators over one denominator and reduces with
+# an integer table.  The reference below is the plain textbook version: a
+# list of Fractions, schoolbook product, reduction by repeated substitution
+# of x^deg = -(Phi_N - x^deg), inverse by solving the multiplication matrix.
+
+ORACLE_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12)
+
+
+def value(x):
+    return [Fraction(n, x.den) for n in x.nums]
+
+
+def ref_reduce(order, coeffs):
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    cs = [Fraction(c) for c in coeffs]
+    for top in range(len(cs) - 1, deg - 1, -1):
+        c, cs[top] = cs[top], Fraction(0)
+        for j in range(deg):
+            cs[top - deg + j] -= c * phi[j]
+    return (cs + [Fraction(0)] * deg)[:deg]
+
+
+def ref_mul(order, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return ref_reduce(order, prod)
+
+
+def ref_inverse(order, a):
+    # solve (a * s) = 1: column j of the matrix is a * z^j
+    deg = len(a)
+    cols = [ref_mul(order, a, [Fraction(0)] * j + [Fraction(1)]) for j in range(deg)]
+    rows = [[cols[j][i] for j in range(deg)] + [Fraction(int(i == 0))]
+            for i in range(deg)]
+    for c in range(deg):
+        p = next(r for r in range(c, deg) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(deg):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [rows[i][deg] for i in range(deg)]
+
+
+def ref_pow(order, a, n):
+    if n < 0:
+        a, n = ref_inverse(order, a), -n
+    out = ref_reduce(order, [1])
+    for _ in range(n):
+        out = ref_mul(order, out, a)
+    return out
+
+
+def assert_canonical(x):
+    deg = len(cyclotomic_polynomial(x.order)) - 1
+    assert len(x.nums) == deg and all(type(n) is int for n in x.nums)
+    assert type(x.den) is int and x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
+def _oracle_operand(rng, order, big):
+    deg = len(cyclotomic_polynomial(order)) - 1
+    bound = 10 ** 30 if big else 9
+    kind = rng.choice(("zero", "unit", "rational", "cyclotomic", "cyclotomic"))
+    if kind == "zero":
+        coeffs = [0]
+    elif kind == "unit":
+        coeffs = [rng.choice((1, -1))]
+    else:
+        width = 1 if kind == "rational" else deg
+        coeffs = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                  for _ in range(width)]
+    return Scalar(order, coeffs)
+
+
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_kernel_matches_fraction_oracle(order, big):
+    rng = random.Random(1000 * order + big)
+    for _ in range(20 if big else 50):
+        x = _oracle_operand(rng, order, big)
+        y = _oracle_operand(rng, order, big)
+        vx, vy = value(x), value(y)
+        for got, want in (
+                (x + y, [a + b for a, b in zip(vx, vy)]),
+                (x - y, [a - b for a, b in zip(vx, vy)]),
+                (x * y, ref_mul(order, vx, vy)),
+                (-x, [-a for a in vx])):
+            assert_canonical(got)
+            assert value(got) == want
+        if not x.is_zero():
+            inv = x.inverse()
+            assert_canonical(inv)
+            assert value(inv) == ref_inverse(order, vx)
+        for n in (0, 1, 3, -2):
+            if n < 0 and x.is_zero():
+                continue
+            assert value(x ** n) == ref_pow(order, vx, n)
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_constructor_reduces_like_oracle(order):
+    rng = random.Random(order)
+    deg = len(cyclotomic_polynomial(order)) - 1
+    for _ in range(30):
+        length = rng.randint(0, max(deg, order) + 1)
+        coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                  for _ in range(length)]
+        x = Scalar(order, coeffs)
+        assert_canonical(x)
+        assert value(x) == ref_reduce(order, coeffs)
+    for k in range(2 * order):
+        z = Scalar.zeta(order, k)
+        assert_canonical(z)
+        assert value(z) == ref_reduce(order, [0] * (k % order) + [1])
+
+
+def test_scalar_holds_only_order_nums_den():
+    assert Scalar.__slots__ == ("order", "nums", "den")
+    assert not hasattr(Scalar.one(12), "__dict__")
+    zero = Scalar.zero(7)
+    assert zero.nums == (0,) * 6 and zero.den == 1
+    assert (Scalar.zeta(7) - Scalar.zeta(7)).nums == zero.nums
+    assert (rat("1/3") - rat("1/3")).den == 1
+
+
+def test_same_value_by_every_route_is_identical():
+    x, y = rat("1/2"), Scalar.zeta(12, 5) + rat("7/3")
+    routes = [
+        Scalar(12, [Fraction(2, 4)]),
+        Scalar(12, [Fraction(1, 2), 0, 0, 0]),
+        parse_scalar("1/2"),
+        parse_scalar("2/4"),
+        1 / Scalar.from_rational(2),
+        Scalar.from_rational(2).inverse(),
+        (x + y) - y,
+        x * (y * y.inverse()),
+        rat(3) * rat("1/6"),
+    ]
+    for r in routes:
+        assert r == x
+        assert (r.order, r.nums, r.den) == (12, (1, 0, 0, 0), 2)
+        assert hash(r) == hash(x) == hash(Fraction(1, 2))
+    # a cyclotomic value: a+b-b and the product with an inverse pair
+    w = Scalar.zeta(12, 5) * rat("3/4") + rat("1/6")
+    for r in (w + y - y, w * y * y.inverse(), parse_scalar(str(w))):
+        assert (r.nums, r.den) == (w.nums, w.den) and hash(r) == hash(w)
+
+
+def test_hash_of_rational_matches_fraction():
+    for q in (1, -2, Fraction(1, 2), 0, Fraction(-7, 3)):
+        s = Scalar.from_rational(q)
+        assert s == q and hash(s) == hash(q) == hash(Fraction(q))
+    assert hash(Scalar.one()) == hash(1)
+    assert hash(Scalar.from_rational(-2)) == hash(-2)
+    assert hash(rat("1/2")) == hash(Fraction(1, 2))
+    assert {1: "one"}[Scalar.one()] == "one"
+    assert Scalar.one() in {1, 2}
+
+
+def test_floats_refused():
+    for bad in (0.1, 0.5, 1.0, 1j, complex(1, 0)):
+        with pytest.raises(TypeError):
+            Scalar.from_rational(bad)
+        with pytest.raises(TypeError):
+            Scalar(12, [bad])
+        with pytest.raises(TypeError):
+            Scalar(12, [1, 0, bad])
+    with pytest.raises(TypeError):
+        Scalar.one(12) + 0.5
+    with pytest.raises(TypeError):
+        0.5 * Scalar.one(12)
+    # exact integer types keep working, bool included
+    assert Scalar.from_rational(True) == Scalar.one(12)
+    assert Scalar(12, [Fraction(3, 1), 2]) == 3 + 2 * Scalar.zeta(12)
