@@ -177,6 +177,14 @@ def main(argv=None) -> int:
         p.add_argument("--zeta-order", type=int, default=DEFAULT_ORDER,
                        help="cyclotomic order N of the scalar field Q(zeta_N)")
 
+    def add_family(p):
+        p.add_argument("--family", required=True,
+                       choices=["h-class", "g-class", "gh-class", "one-class"])
+        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--a")
+        p.add_argument("--rep")
+        p.add_argument("--lambda", dest="lam")
+
     p = sub.add_parser("alambda", help="structure of A_lambda")
     add_zeta(p)
     p.add_argument("--lambda", dest="lam", required=True)
@@ -184,27 +192,16 @@ def main(argv=None) -> int:
                    choices=["structure", "idempotents", "radical", "simples"])
     p.set_defaults(func=_cmd_alambda)
 
-    family_kw = dict(
-        choices=["h-class", "g-class", "gh-class", "one-class"], required=True)
-
     p = sub.add_parser("braiding", help="braiding table of one family")
     add_zeta(p)
-    p.add_argument("--family", **family_kw)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--a")
-    p.add_argument("--rep")
-    p.add_argument("--lambda", dest="lam")
+    add_family(p)
     p.add_argument("--window", type=int, default=4)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_braiding)
 
     p = sub.add_parser("nichols", help="truncated Hilbert series")
     add_zeta(p)
-    p.add_argument("--family", **family_kw)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--a")
-    p.add_argument("--rep")
-    p.add_argument("--lambda", dest="lam")
+    add_family(p)
     p.add_argument("--max-degree", type=int, default=6)
     p.set_defaults(func=_cmd_nichols)
 

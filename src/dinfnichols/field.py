@@ -13,7 +13,8 @@ A value is stored as integer numerators over one common denominator
 ``gcd(den, *nums) == 1``; zero is all zeros over 1.  Phi_N is monic with
 integer coefficients, so products reduce modulo Phi_N in integers; each
 operation ends with one gcd.  The form is canonical, so equality is tuple
-equality.
+equality.  An inverse is the product of the other Galois conjugates over
+the norm (4.2-4.3), so it too runs on these integer products.
 
 Scalars are immutable and hashable; all operations are pure functions, so
 values can be shared freely between threads.
@@ -29,9 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 DEFAULT_ORDER = 12
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -141,6 +139,10 @@ class Scalar:
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild the canonical form as it is
+        return _new, (self.order, self.nums, self.den)
+
     @classmethod
     def from_rational(cls, q, order: int = DEFAULT_ORDER) -> "Scalar":
         n, d = _rational_parts(q)
@@ -244,23 +246,30 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse by the Galois norm (Cohen 1993, 4.2-4.3).
+
+        With P the product of the conjugates sigma_k(x), 1 < k < N and
+        gcd(k, N) = 1, where sigma_k sends z to z^k, the norm P*x is
+        rational and x^-1 = P / (P*x): kernel products and one scaling.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero scalar")
         if self.is_rational():
             return Scalar.from_rational(Fraction(self.den, self.nums[0]), self.order)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # Bezout: s*p + t*Phi = gcd = const with p = den*self, so
-        # self^-1 = den * s / const.
-        r0, r1 = phi, _trim([Fraction(c) for c in self.nums])
-        s0, s1 = [_ZERO], [_ONE]
-        while len(r1) > 1 or r1[0] != 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        const = r0[0]
-        assert len(r0) == 1 and const != 0, "Phi_N must be irreducible over Q"
-        return Scalar(self.order, [c * self.den / const for c in s0])
+        order = self.order
+        conj = None
+        for k in range(2, order):
+            if math.gcd(k, order) == 1:
+                moved = [0] * order
+                for i, c in enumerate(self.nums):
+                    moved[i * k % order] = c
+                # sigma_k maps Z[z] onto itself, so the gcd with den stays 1
+                sigma = _new(order, tuple(_reduce(order, moved)), self.den)
+                conj = sigma if conj is None else conj * sigma
+        norm = conj * self
+        assert norm.is_rational(), "the Galois norm must be rational"
+        n, d = norm.nums[0], norm.den
+        return _scale(d if n > 0 else -d, abs(n), conj)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -364,44 +373,6 @@ def _cached_const(order: int, value: int) -> Scalar:
     return Scalar.from_rational(value, order)
 
 
-# -- small dense polynomial helpers over Fraction (constant term first) ----
-
-def _trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    out = [_ZERO] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [_ZERO] * max(len(a) - len(b) + 1, 1)
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] / b[-1]
-        q[i] = f
-        if f:
-            for j, c in enumerate(b):
-                a[i + j] -= f * c
-    return _trim(q), _trim(a)
-
-
 # -- string form ------------------------------------------------------------
 
 def format_scalar(x: Scalar) -> str:
@@ -440,7 +411,7 @@ def parse_scalar(text: str, order: int = DEFAULT_ORDER) -> Scalar:
     if not s:
         raise ValueError("empty scalar string")
     deg_bound = max(_degree(order), order)
-    coeffs = [_ZERO] * (deg_bound + 1)
+    coeffs = [0] * (deg_bound + 1)
     pos = 0
     first = True
     while pos < len(s):
@@ -455,7 +426,7 @@ def parse_scalar(text: str, order: int = DEFAULT_ORDER) -> Scalar:
         if not m or m.end() == pos or (m.group("coeff") is None and m.group("z") is None):
             raise ValueError(f"cannot parse scalar term at {pos} in {text!r}")
         try:
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else _ONE
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else 1
         except ZeroDivisionError:
             raise ValueError(f"zero denominator at {pos} in {text!r}") from None
         if m.group("z"):

@@ -19,10 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from . import linalg
 from .field import Scalar
+
+if TYPE_CHECKING:
+    from .tables import TableWitness
 
 _BASIS_NAMES = ("1", "g", "h", "gh")
 
@@ -283,8 +286,12 @@ class FinRep:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Verdict of a check; ``witness`` describes the first failure found:
+    a message (module axioms), a braid-equation triple with both sides
+    (``ydmod``) or a :class:`tables.TableWitness`."""
+
     ok: bool
-    witness: Optional[str] = None
+    witness: Optional[Union[str, tuple, TableWitness]] = None
 
     def __bool__(self):
         return self.ok

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .field import Scalar
+from .repn import CheckResult
 from .ydmod import (
     A,
     EPS,
@@ -26,7 +27,6 @@ from .ydmod import (
     HClassModule,
     OneClassModule,
     ReflectionClassModule,
-    TableCheck,
     YDModule,
 )
 
@@ -85,7 +85,7 @@ class TableWitness:
 
 
 def braiding_table_check(m: YDModule, window: int,
-                         table: Optional[TableFunc] = None) -> TableCheck:
+                         table: Optional[TableFunc] = None) -> CheckResult:
     """Compare braid(m, v, w) from act/coact with the closed form.
 
     For the infinite families all label pairs with indices <= window are
@@ -116,5 +116,5 @@ def braiding_table_check(m: YDModule, window: int,
             if t.coeff != coeff or t.left != vec or t.right != v:
                 witness = TableWitness((str(v), str(w)), computed=str(t),
                                        expected=str(BraidTerm(coeff, vec, v)))
-                return TableCheck(False, witness)
-    return TableCheck(True)
+                return CheckResult(False, witness)
+    return CheckResult(True)

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import product as iter_product
 
+from .classify import ParamGrid, enumerate_families
 from .field import Scalar
 from .group import GroupElement
 from .repn import (
@@ -23,17 +24,7 @@ from .repn import (
     simple_modules,
 )
 from .tables import braiding_table_check
-from .ydmod import (
-    EPS,
-    SIGN,
-    braid_equation_check,
-    diagonal_type,
-    g_class,
-    gh_class,
-    h_class,
-    one_class,
-    yd_compat_check,
-)
+from .ydmod import braid_equation_check, diagonal_type, yd_compat_check
 
 
 class SuiteResult:
@@ -54,16 +45,11 @@ class SuiteResult:
 
 
 def _sample_modules(order: int = 12):
-    a_values = [Scalar.one(order), -Scalar.one(order),
-                Scalar.from_rational(2, order), Scalar.zeta(order, order // 3)]
-    mods = [h_class(n, a) for n in (1, 2) for a in a_values]
-    mods += [g_class(SIGN, order), g_class(EPS, order),
-             gh_class(SIGN, order), gh_class(EPS, order)]
-    for lam in (Scalar.zero(order), Scalar.from_rational(2, order)):
-        for cand in simple_modules(lam):
-            if cand.axiom.ok:
-                mods.append(one_class(cand.rep, cand.label))
-    return mods
+    a_values = (Scalar.one(order), -Scalar.one(order),
+                Scalar.from_rational(2, order), Scalar.zeta(order, order // 3))
+    lambdas = (Scalar.zero(order), Scalar.from_rational(2, order))
+    grid = ParamGrid((1, 2), a_values, lambdas)
+    return [i.module for i in enumerate_families(grid, order)]
 
 
 def _triples(m, window: int):

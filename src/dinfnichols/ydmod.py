@@ -39,7 +39,7 @@ from .group import (
     ODD_REFLECTIONS,
     ONE,
 )
-from .repn import FinRep, module_axiom_check
+from .repn import CheckResult, FinRep, module_axiom_check
 
 SIGN = "sign"
 EPS = "eps"
@@ -356,7 +356,7 @@ def braid_word_at(m: YDModule, coeff: Scalar, word: tuple, i: int):
     return coeff * t.coeff, new_word
 
 
-def braid_equation_check(m: YDModule, triples: Iterable[tuple]) -> "TableCheck":
+def braid_equation_check(m: YDModule, triples: Iterable[tuple]) -> CheckResult:
     """(c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on the given triples."""
     one = Scalar.one(m.order)
     for triple in triples:
@@ -369,17 +369,8 @@ def braid_equation_check(m: YDModule, triples: Iterable[tuple]) -> "TableCheck":
         if lhs_c != rhs_c or lhs_w != rhs_w:
             witness = (triple, (str(lhs_c), tuple(map(str, lhs_w))),
                        (str(rhs_c), tuple(map(str, rhs_w))))
-            return TableCheck(False, witness)
-    return TableCheck(True)
-
-
-@dataclass(frozen=True)
-class TableCheck:
-    ok: bool
-    witness: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.ok
+            return CheckResult(False, witness)
+    return CheckResult(True)
 
 
 def diagonal_type(m: YDModule):

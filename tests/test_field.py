@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -133,6 +135,13 @@ def test_int_coercion():
     assert (x - 1) + (1 - x) == Scalar.zero(12)
 
 
+def test_copy_and_pickle_roundtrip():
+    for x in (rat("-7/3"), Scalar.zeta(12) + 1, rat("1/2", 15) * Scalar.zeta(15, 4)):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+            assert (y.order, y.nums, y.den) == (x.order, x.nums, x.den)
+
+
 def test_hash_consistency():
     a = Scalar.zeta(12, 3) * Scalar.zeta(12, 9)
     b = Scalar.one(12)
@@ -146,7 +155,8 @@ def test_hash_consistency():
 # list of Fractions, schoolbook product, reduction by repeated substitution
 # of x^deg = -(Phi_N - x^deg), inverse by solving the multiplication matrix.
 
-ORACLE_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12)
+# 15: (Z/15)^* is C2 x C4, a non-cyclic Galois group of degree 8
+ORACLE_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
 
 
 def value(x):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -144,6 +145,7 @@ def test_simple_modules_lambda_zero():
     rep = cands[0].rep
     assert rep.G[0][0] == Scalar.one(ORDER) and rep.G[1][1] == -Scalar.one(ORDER)
     assert rep.H[1][0] == -Scalar.one(ORDER) and rep.H[0][1] == Scalar.one(ORDER)
+    assert copy.deepcopy(cands[0]) == cands[0]
 
 
 @pytest.mark.parametrize("lam_value,expect_pass", [(2, True), (-2, True), (3, False)])
