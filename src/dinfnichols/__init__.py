@@ -50,10 +50,7 @@ from .ydmod import (
     YDModule,
     braid_equation_check,
     diagonal_type,
-    g_class,
-    gh_class,
     h_class,
-    one_class,
     yd_compat_check,
 )
 from .tables import braiding_table_check

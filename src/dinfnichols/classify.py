@@ -12,8 +12,9 @@ Three rules, each verified against computed structure before use:
 * R3  trivial braiding (one-class): the Nichols algebra is a polynomial
       algebra, GK-dim = dim V.
 
-R2 and R3 first require the computed braiding matrix to equal the closed
-form ``tables.closed_form_q``; the Hilbert evidence is cached on that matrix.
+R2 and R3 first require the computed braiding to pass
+``tables.braiding_table_check`` against the closed form
+``tables.closed_form_q``; the Hilbert evidence is cached on that matrix.
 Finite verdicts must be consistent with the computed growth estimate; any
 mismatch raises EvidenceError instead of silently overriding.
 """
@@ -24,11 +25,11 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .field import Scalar
+from .field import DEFAULT_ORDER, Scalar
 from .group import class_is_infinite
 from .nichols import POLYNOMIAL, TERMINATES, GrowthFit, graded_dims, growth_fit
-from .repn import SimpleCandidate, rep_iso_check, simple_modules
-from .tables import closed_form_q
+from .repn import rep_iso_check, simple_modules
+from .tables import braiding_table_check, closed_form_q
 from .ydmod import (
     EPS,
     REFLECTION_FAMILIES,
@@ -36,7 +37,6 @@ from .ydmod import (
     HClassModule,
     OneClassModule,
     YDModule,
-    diagonal_type,
 )
 
 EVIDENCE_DEGREE = 6
@@ -69,7 +69,7 @@ class ParamGrid:
         }
 
 
-def default_grid(order: int = 12) -> ParamGrid:
+def default_grid(order: int = DEFAULT_ORDER) -> ParamGrid:
     return ParamGrid.from_strings(
         ns=[1, 2, 3], a_values=["1", "-1", "2"],
         lambdas=["0", "2", "-2", "3"], order=order)
@@ -80,7 +80,6 @@ class FamilyInstance:
     module: YDModule
     family: str                       # "h-class" | "g-class" | "gh-class" | "one-class"
     params: dict
-    candidate: Optional[SimpleCandidate] = None
 
     def key(self):
         return (self.family, self.params.get("n", 0),
@@ -104,7 +103,8 @@ class Verdict:
         return {"verdict": v, "rule": self.rule, "evidence": self.evidence}
 
 
-def enumerate_families(grid: ParamGrid, order: int = 12) -> list[FamilyInstance]:
+def enumerate_families(grid: ParamGrid,
+                       order: int = DEFAULT_ORDER) -> list[FamilyInstance]:
     """One instance per (conjugacy class, centralizer character) pair on the grid.
 
     One-class instances are built only from axiom-passing simple-module
@@ -122,10 +122,9 @@ def enumerate_families(grid: ParamGrid, order: int = 12) -> list[FamilyInstance]
     for lam in grid.lambdas:
         for cand in simple_modules(lam):
             if cand.axiom.ok:
-                module = OneClassModule(cand.rep, cand.label)
                 out.append(FamilyInstance(
-                    module, "one-class",
-                    {"rep": cand.label, "lambda": str(lam)}, cand))
+                    OneClassModule(cand.rep, cand.label), "one-class",
+                    {"rep": cand.label, "lambda": str(lam)}))
     return out
 
 
@@ -162,16 +161,16 @@ def classify(instance: FamilyInstance, cache: Optional[dict] = None) -> Verdict:
                         "distinct_degrees": degrees})
 
     try:
-        expected = closed_form_q(module)
+        matrix = closed_form_q(module)
     except TypeError:
         raise EvidenceError(
             f"no classification rule applies to {instance.describe()}") from None
-    matrix = diagonal_type(module)
-    if matrix != expected:
-        shown = None if matrix is None else _strings(matrix)
+    check = braiding_table_check(module, 1)
+    if not check.ok:
+        w = check.witness
         raise EvidenceError(
-            f"{instance.describe()}: braiding matrix {shown} is not the "
-            f"closed form {_strings(expected)}")
+            f"{instance.describe()}: computed braiding {w.computed} on {w.pair} "
+            f"is not the closed form {w.expected}")
 
     one = Scalar.one(module.order)
     if isinstance(module, OneClassModule):
@@ -220,7 +219,7 @@ def _entry_of(instance: FamilyInstance) -> Optional[int]:
     return None
 
 
-def theorem_table(grid: ParamGrid, order: int = 12) -> dict:
+def theorem_table(grid: ParamGrid, order: int = DEFAULT_ORDER) -> dict:
     """Classify every family on the grid and compare with the five-entry
     reference list; returns the full JSON-ready report."""
     one = Scalar.one(order)

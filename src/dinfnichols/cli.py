@@ -23,11 +23,11 @@ from .classify import (
     theorem_table,
 )
 from .field import DEFAULT_ORDER, Scalar
-from .nichols import DEGREE_CAP, graded_dims, growth_fit
+from .nichols import graded_dims, growth_fit
 from .repn import alambda_report, simple_modules
 from .tables import braiding_table_check
 from .verify import SUITES, run_suites
-from .ydmod import EPS, REFLECTION_FAMILIES, SIGN, h_class, one_class
+from .ydmod import EPS, REFLECTION_FAMILIES, SIGN, HClassModule, OneClassModule
 
 
 def _build_module(args, order):
@@ -36,7 +36,7 @@ def _build_module(args, order):
         if family == "h-class":
             if args.a is None:
                 raise SystemExit("h-class requires --a")
-            return h_class(args.n, Scalar.parse(args.a, order))
+            return HClassModule(args.n, Scalar.parse(args.a, order))
         if family in REFLECTION_FAMILIES:
             if args.rep not in (SIGN, EPS):
                 raise SystemExit(f"{family} requires --rep sign|eps")
@@ -55,7 +55,7 @@ def _build_module(args, order):
                         raise SystemExit(
                             f"candidate {args.rep} at lambda={lam} fails module "
                             f"axioms: {cand.axiom.witness}")
-                    return one_class(cand.rep, cand.label)
+                    return OneClassModule(cand.rep, cand.label)
             raise SystemExit(f"no candidate {args.rep} at lambda={lam}")
     except ValueError as exc:
         raise SystemExit(f"{family}: {exc}") from None
@@ -80,7 +80,7 @@ def _cmd_alambda(args):
 def _cmd_braiding(args):
     order = args.zeta_order
     m = _build_module(args, order)
-    basis = m.basis() if m.dim is not None else m.basis_window(args.window)
+    basis = m.basis_window(args.window)
     entries = []
     for v in basis:
         for w in basis:
@@ -108,13 +108,13 @@ def _cmd_nichols(args):
     if m.dim is None:
         raise SystemExit("nichols requires a finite-dimensional family "
                          "(infinite support is classified by rule R1)")
-    if args.max_degree > DEGREE_CAP:
-        raise SystemExit(f"nichols: --max-degree {args.max_degree} exceeds the "
-                         f"degree cap {DEGREE_CAP}")
     if args.max_degree < 3:
         raise SystemExit(f"nichols: --max-degree {args.max_degree} is below 3, "
                          "the least degree the growth fit needs")
-    prefix = graded_dims(m, args.max_degree)
+    try:
+        prefix = graded_dims(m, args.max_degree)
+    except ValueError as exc:
+        raise SystemExit(f"nichols: {exc}") from None
     print("degree,dim")
     for n, d in enumerate(prefix):
         print(f"{n},{d}")

@@ -399,13 +399,14 @@ def format_scalar(x: Scalar) -> str:
 
 
 _TERM_RE = re.compile(
-    r"(?P<coeff>-?\d+(?:/\d+)?)?(?:\*?(?P<z>z)(?:\^(?P<exp>-?\d+))?)?")
+    r"(?P<coeff>\d+(?:/\d+)?)?(?:(?(coeff)\*?)(?P<z>z)(?:\^(?P<exp>-?\d+))?)?")
 
 
 def parse_scalar(text: str, order: int = DEFAULT_ORDER) -> Scalar:
     """Parse the grammar produced by :func:`format_scalar`.
 
     Accepts "3/2", "-1", "z^2+1/3", "2*z", "2z^3-z+1/2"; whitespace ignored.
+    Each term takes at most one sign, and "*" only after a coefficient.
     """
     s = text.replace(" ", "")
     if not s:

@@ -8,7 +8,7 @@ dim B^n(V) is its exact rank over Q(zeta_N).
 
 The length-additive coset factorization
   Sym_n = (sum_{j=1..n} c_j c_{j+1} ... c_{n-1}) . (Sym_{n-1} (x) id)
-reads, on words u, w of letter indices,
+reads, on words u, w of letter indices (letter i is m.basis()[i]),
   Sym_n[u, w] = sum_{j: u_j = w_n} prod_{k>j} q(u_k, u_j) Sym_{n-1}[u - u_j, w - w_n]
 with Sym_0 = 1; it is the same matrix as the naive n!-term sum (the tests
 compare the two for small n).  A diagonal braiding only permutes letters, so
@@ -35,20 +35,17 @@ from .ydmod import YDModule, diagonal_type
 DEGREE_CAP = 8
 
 
-def _braiding_matrix(m: YDModule, basis=None):
-    """(q_ij) of m, rows and columns in the order of ``basis``."""
+def _braiding_matrix(m: YDModule):
+    """(q_ij) of m, rows and columns in the order of ``m.basis()``."""
     q = diagonal_type(m)  # raises ValueError for infinite modules
     if q is None:
         raise ValueError(f"{m!r} is not of diagonal type")
-    if basis is None:
-        return q
-    pos = [m.basis().index(v) for v in basis]
-    return [[q[i][j] for j in pos] for i in pos]
+    return q
 
 
 def _check_degree(degree: int):
     if degree > DEGREE_CAP:
-        raise ValueError(f"degree {degree} exceeds the cap {DEGREE_CAP}")
+        raise ValueError(f"degree {degree} exceeds the degree cap {DEGREE_CAP}")
 
 
 def _symmetrizer_rows(q, order: int):
@@ -74,16 +71,16 @@ def _symmetrizer_rows(q, order: int):
     return row
 
 
-def quantum_symmetrizer(m: YDModule, degree: int, basis=None):
+def quantum_symmetrizer(m: YDModule, degree: int):
     """Matrix of Sym_n in the word basis of V^(x)n; column w is Sym_n(w).
 
-    Words are ordered lexicographically in the letters of ``basis``.  The
-    matrix is zero off the letter-content blocks.
+    Words are ordered lexicographically in the letters of ``m.basis()``.
+    The matrix is zero off the letter-content blocks.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     _check_degree(degree)
-    q = _braiding_matrix(m, basis)
+    q = _braiding_matrix(m)
     row = _symmetrizer_rows(q, m.order)
     words = list(product(range(len(q)), repeat=degree))
     index = {w: k for k, w in enumerate(words)}
@@ -116,10 +113,10 @@ class HilbertPrefix:
         return len(self.dims)
 
 
-def graded_dims(m: YDModule, max_degree: int, basis=None) -> HilbertPrefix:
+def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
     """Exact graded dimensions of the Nichols algebra up to max_degree."""
     _check_degree(max_degree)
-    q = _braiding_matrix(m, basis)
+    q = _braiding_matrix(m)
     row = _symmetrizer_rows(q, m.order)
     zero = Scalar.zero(m.order)
     dims = [1]

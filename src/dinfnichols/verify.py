@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .classify import ParamGrid, enumerate_families
-from .field import Scalar
+from .field import DEFAULT_ORDER, Scalar
 from .group import GroupElement
 from .repn import (
     ALambdaElement,
@@ -44,7 +44,7 @@ class SuiteResult:
         self.failed += other.failed
 
 
-def _sample_modules(order: int = 12):
+def _sample_modules(order: int = DEFAULT_ORDER):
     a_values = (Scalar.one(order), -Scalar.one(order),
                 Scalar.from_rational(2, order), Scalar.zeta(order, order // 3))
     lambdas = (Scalar.zero(order), Scalar.from_rational(2, order))
@@ -52,31 +52,21 @@ def _sample_modules(order: int = 12):
     return [i.module for i in enumerate_families(grid, order)]
 
 
-def _triples(m, window: int):
-    if m.dim is not None:
-        basis = m.basis()
-    else:
-        basis = m.basis_window(window)
-    return iter_product(basis, repeat=3)
-
-
-def braid_suite(window: int = 8, seed: int = 0, order: int = 12) -> SuiteResult:
+def braid_suite(window: int = 8, seed: int = 0,
+                order: int = DEFAULT_ORDER) -> SuiteResult:
     res = SuiteResult()
     for m in _sample_modules(order):
-        check = braid_equation_check(m, _triples(m, window))
+        check = braid_equation_check(m, iter_product(m.basis_window(window), repeat=3))
         res.record(f"braid equation: {m!r} window={window}", check.ok,
                    "" if check.ok else str(check.witness))
     return res
 
 
-def yd_suite(window: int = 20, seed: int = 0, order: int = 12) -> SuiteResult:
+def yd_suite(window: int = 20, seed: int = 0, order: int = DEFAULT_ORDER) -> SuiteResult:
     res = SuiteResult()
     g = GroupElement.g()
     for m in _sample_modules(order):
-        if m.dim is None:
-            basis = m.basis_window(window)
-        else:
-            basis = m.basis()
+        basis = m.basis_window(window)
         # h-class modules act through <g, h^n>
         rot = GroupElement.h(getattr(m, "n", 1))
         ok = all(yd_compat_check(m, x, v) for x in (g, rot) for v in basis)
@@ -125,7 +115,8 @@ def _same_comb(terms_a, terms_b) -> bool:
     return collapse(terms_a) == collapse(terms_b)
 
 
-def tables_suite(window: int = 8, seed: int = 0, order: int = 12) -> SuiteResult:
+def tables_suite(window: int = 8, seed: int = 0,
+                 order: int = DEFAULT_ORDER) -> SuiteResult:
     res = SuiteResult()
     mods = _sample_modules(order)
     for m in mods:
@@ -138,7 +129,8 @@ def tables_suite(window: int = 8, seed: int = 0, order: int = 12) -> SuiteResult
     return res
 
 
-def alambda_suite(window: int = 8, seed: int = 0, order: int = 12) -> SuiteResult:
+def alambda_suite(window: int = 8, seed: int = 0,
+                  order: int = DEFAULT_ORDER) -> SuiteResult:
     res = SuiteResult()
     rng = random.Random(seed)
     lambdas = [Scalar.zero(order), Scalar.from_rational(2, order),
@@ -195,7 +187,8 @@ SUITES = {
 }
 
 
-def run_suites(names, window: int = 8, seed: int = 0, order: int = 12) -> SuiteResult:
+def run_suites(names, window: int = 8, seed: int = 0,
+               order: int = DEFAULT_ORDER) -> SuiteResult:
     res = SuiteResult()
     for name in names:
         res.extend(SUITES[name](window=window, seed=seed, order=order))

@@ -318,22 +318,11 @@ class OneClassModule(YDModule):
         return GroupElement(0, 0)
 
 
-# -- family constructors matching the CLI names -------------------------------
+# -- family constructors -------------------------------------------------------
 
+# kept because the benchmark self-test (perfbench/selftest.py) imports it
 def h_class(n: int, a: Scalar) -> HClassModule:
     return HClassModule(n, a)
-
-
-def g_class(rep: str, order: int = DEFAULT_ORDER) -> GClassModule:
-    return GClassModule(rep, order)
-
-
-def gh_class(rep: str, order: int = DEFAULT_ORDER) -> GhClassModule:
-    return GhClassModule(rep, order)
-
-
-def one_class(rep: FinRep, label: str = "one-class") -> OneClassModule:
-    return OneClassModule(rep, label)
 
 
 REFLECTION_FAMILIES = {"g-class": GClassModule, "gh-class": GhClassModule}
@@ -347,6 +336,7 @@ def yd_compat_check(m: YDModule, x: GroupElement, v: BasisVector) -> bool:
     return all(m.coact(term.vec) == expected for term in m.act(x, v))
 
 
+# the benchmark tracer (perfbench/tracer.py) needs this name for nichols.braid_evals
 def braid_word_at(m: YDModule, coeff: Scalar, word: tuple, i: int):
     """Apply the braiding to slots (i, i+1) of a tensor word, 1-indexed."""
     if not 1 <= i <= len(word) - 1:

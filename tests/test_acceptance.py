@@ -35,12 +35,12 @@ from dinfnichols.repn import (
 )
 from dinfnichols.tables import braiding_table_check
 from dinfnichols.ydmod import (
+    GClassModule,
+    GhClassModule,
+    HClassModule,
+    OneClassModule,
     braid_equation_check,
     diagonal_type,
-    g_class,
-    gh_class,
-    h_class,
-    one_class,
 )
 
 ORDER = 12
@@ -56,16 +56,16 @@ A_VALUES = [rat(1), rat(-1), rat(2), Scalar.zeta(ORDER, 4)]
 def one_class_module(label, lam):
     cand = {c.label: c for c in simple_modules(lam)}[label]
     assert cand.axiom.ok
-    return one_class(cand.rep, label)
+    return OneClassModule(cand.rep, label)
 
 
 @pytest.fixture(scope="module")
 def nichols_results():
     """Symmetrizer matrices, exact ranks and timings for criterion 3/7."""
     cases = {
-        "h-class a=1": h_class(1, rat(1)),
-        "h-class a=-1": h_class(1, rat(-1)),
-        "h-class a=2": h_class(1, rat(2)),
+        "h-class a=1": HClassModule(1, rat(1)),
+        "h-class a=-1": HClassModule(1, rat(-1)),
+        "h-class a=2": HClassModule(1, rat(2)),
         "one-class slam+ lambda=2": one_class_module("slam+", rat(2)),
     }
     results = {}
@@ -86,11 +86,11 @@ def test_criterion_1_braid_equation_suite():
     t0 = time.monotonic()
     for n in (1, 2):
         for a in A_VALUES:
-            m = h_class(n, a)
+            m = HClassModule(n, a)
             triples = itertools.product(m.basis(), repeat=3)
             check = braid_equation_check(m, triples)
             assert check.ok, check.witness
-    for m in (g_class("sign"), g_class("eps"), gh_class("sign"), gh_class("eps")):
+    for m in (GClassModule("sign"), GClassModule("eps"), GhClassModule("sign"), GhClassModule("eps")):
         basis = m.basis_window(8)
         assert len(basis) ** 3 >= 17 ** 3
         check = braid_equation_check(m, itertools.product(basis, repeat=3))
@@ -102,12 +102,12 @@ def test_criterion_1_braid_equation_suite():
 
 
 def test_criterion_2_braiding_table_fidelity():
-    for m in (g_class("sign"), g_class("eps"), gh_class("sign"), gh_class("eps")):
+    for m in (GClassModule("sign"), GClassModule("eps"), GhClassModule("sign"), GhClassModule("eps")):
         check = braiding_table_check(m, 8)
         assert check.ok, f"table mismatch witness: {check.witness}"
     for n in (1, 2):
         for a in A_VALUES:
-            m = h_class(n, a)
+            m = HClassModule(n, a)
             assert braiding_table_check(m, 8).ok
             assert diagonal_type(m) == [[a, a ** -1], [a ** -1, a]]
     one = Scalar.one(ORDER)

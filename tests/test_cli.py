@@ -151,6 +151,16 @@ def test_classify_default_report_matches_golden(capsys):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("order", ["12", "5"])
+def test_verify_output_matches_pinned(capsys, order):
+    # every check line of the four suites, byte for byte
+    pinned = Path(__file__).resolve().parent / "golden" / f"verify-w3-s0-z{order}.txt"
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--window", "3",
+                        "--seed", "0", "--zeta-order", order)
+    assert code == 0
+    assert out == pinned.read_text()
+
+
 def test_classify_json_schema_and_formats(tmp_path, capsys):
     grid = {"n": [1], "a": ["1", "-1", "2"], "lambda": ["0", "2"]}
     grid_file = tmp_path / "grid.json"

@@ -117,6 +117,10 @@ def test_string_roundtrip():
         parse_scalar("1/0")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_scalar("z+3/0")
+    # one sign per term, and "*" only after a coefficient
+    for bad in ("--1", "z--2", "+-3", "*z", "1+*z"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_scalar(bad)
 
 
 def test_numeric_embedding_cross_check():

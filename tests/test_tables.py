@@ -17,14 +17,14 @@ from dinfnichols.tables import braiding_table_check, canonicalize
 from dinfnichols.ydmod import (
     A,
     B,
+    GClassModule,
+    GhClassModule,
+    HClassModule,
+    OneClassModule,
     V1,
     V2,
     X1,
     X2,
-    g_class,
-    gh_class,
-    h_class,
-    one_class,
 )
 
 ORDER = 12
@@ -65,7 +65,7 @@ GH_CLASS_SPECIALS = [
 
 @pytest.mark.parametrize("rep,s", [("sign", -1), ("eps", 1)])
 def test_gh_class_special_entries(rep, s):
-    m = gh_class(rep)
+    m = GhClassModule(rep)
     for entry, m_range, n_range in GH_CLASS_SPECIALS:
         for mi in m_range:
             for ni in n_range:
@@ -85,7 +85,7 @@ G_CLASS_SPECIALS = [
 
 @pytest.mark.parametrize("rep,s", [("sign", -1), ("eps", 1)])
 def test_g_class_special_entries(rep, s):
-    m = g_class(rep)
+    m = GClassModule(rep)
     for entry, m_range, n_range in G_CLASS_SPECIALS:
         for mi in m_range:
             for ni in n_range:
@@ -98,7 +98,7 @@ def test_g_class_special_entries(rep, s):
 def test_h_class_action_table(n, a_str):
     a = Scalar.parse(a_str, ORDER)
     a_inv = a.inverse()
-    m = h_class(n, a)
+    m = HClassModule(n, a)
     one = Scalar.one(ORDER)
     hn = GroupElement.h(n)
     ghn = GroupElement.g() * hn
@@ -127,7 +127,7 @@ def test_one_class_action_tables():
     one = Scalar.one(ORDER)
     g, h = GroupElement.g(), GroupElement.h()
     cands = {c.label: c for c in simple_modules(rat(0))}
-    plus = one_class(cands["s0+"].rep, "s0+")
+    plus = OneClassModule(cands["s0+"].rep, "s0+")
     expected = {
         (g, V1): (one, V1), (g, V2): (-one, V2),
         (h, V1): (-one, V2), (h, V2): (one, V1),
@@ -135,7 +135,7 @@ def test_one_class_action_tables():
     for (x, v), out in expected.items():
         (t,) = plus.act(x, v)
         assert (t.coeff, t.vec) == out
-    minus = one_class(cands["s0-"].rep, "s0-")
+    minus = OneClassModule(cands["s0-"].rep, "s0-")
     expected = {
         (g, V1): (-one, V1), (g, V2): (one, V2),
         (h, V1): (-one, V2), (h, V2): (one, V1),
@@ -145,12 +145,12 @@ def test_one_class_action_tables():
         assert (t.coeff, t.vec) == out
     for lam_val, gsign in ((2, 1), (-2, 1)):
         cands = {c.label: c for c in simple_modules(rat(lam_val))}
-        mod_plus = one_class(cands["slam+"].rep, "slam+")
+        mod_plus = OneClassModule(cands["slam+"].rep, "slam+")
         (t,) = mod_plus.act(g, V1)
         assert t.coeff == one and t.vec == V1
         (t,) = mod_plus.act(h, V1)
         assert t.coeff == rat(Fraction(lam_val, 2))
-        mod_minus = one_class(cands["slam-"].rep, "slam-")
+        mod_minus = OneClassModule(cands["slam-"].rep, "slam-")
         (t,) = mod_minus.act(g, V1)
         assert t.coeff == -one
         (t,) = mod_minus.act(h, V1)
@@ -159,16 +159,16 @@ def test_one_class_action_tables():
 
 def test_one_class_grading_is_trivial():
     cands = {c.label: c for c in simple_modules(rat(0))}
-    m = one_class(cands["s0+"].rep, "s0+")
+    m = OneClassModule(cands["s0+"].rep, "s0+")
     for v in m.basis():
         assert m.coact(v) == parse_element("1")
 
 
 def test_canonicalize_aliases():
-    mg = g_class("sign")
+    mg = GClassModule("sign")
     coeff, vec = canonicalize(mg, (1, "b", 0))
     assert vec == A(0) and coeff == -Scalar.one(ORDER)
-    mgh = gh_class("eps")
+    mgh = GhClassModule("eps")
     coeff, vec = canonicalize(mgh, (-1, "b", 1))
     assert vec == A(0) and coeff == -Scalar.one(ORDER)
     with pytest.raises(ValueError):
@@ -177,4 +177,4 @@ def test_canonicalize_aliases():
 
 def test_window_check_rejects_bad_window():
     with pytest.raises(ValueError):
-        braiding_table_check(g_class("sign"), 0)
+        braiding_table_check(GClassModule("sign"), 0)

@@ -11,16 +11,16 @@ from dinfnichols.ydmod import (
     A,
     B,
     BasisVector,
+    GClassModule,
+    GhClassModule,
+    HClassModule,
+    OneClassModule,
     V1,
     V2,
     X1,
     X2,
     braid_equation_check,
     diagonal_type,
-    g_class,
-    gh_class,
-    h_class,
-    one_class,
     yd_compat_check,
 )
 
@@ -36,11 +36,11 @@ def rat(q):
 def one_class_module(label, lam):
     cand = {c.label: c for c in simple_modules(lam)}[label]
     assert cand.axiom.ok
-    return one_class(cand.rep, label)
+    return OneClassModule(cand.rep, label)
 
 
 def all_finite_modules():
-    mods = [h_class(n, a) for n in (1, 2) for a in (rat(1), rat(-1), rat(2),
+    mods = [HClassModule(n, a) for n in (1, 2) for a in (rat(1), rat(-1), rat(2),
                                                     Scalar.zeta(12, 4))]
     mods += [one_class_module("s0+", rat(0)), one_class_module("s0-", rat(0)),
              one_class_module("slam+", rat(2)), one_class_module("slam-", rat(-2))]
@@ -48,7 +48,7 @@ def all_finite_modules():
 
 
 def all_infinite_modules():
-    return [g_class("sign"), g_class("eps"), gh_class("sign"), gh_class("eps")]
+    return [GClassModule("sign"), GClassModule("eps"), GhClassModule("sign"), GhClassModule("eps")]
 
 
 def test_basis_vector_validation():
@@ -62,9 +62,9 @@ def test_basis_vector_validation():
 
 
 def test_act_examples():
-    mg = g_class("sign")
+    mg = GClassModule("sign")
     assert [str(t) for t in mg.act(h, B(1))] == ["(-1)*a0"]
-    mh = h_class(2, rat(2))
+    mh = HClassModule(2, rat(2))
     (t,) = mh.act(GroupElement.h(2), X1)
     assert t.coeff == rat(2) and t.vec == X1
     for m in all_finite_modules() + all_infinite_modules():
@@ -74,12 +74,12 @@ def test_act_examples():
 
 
 def test_act_rejects_foreign_vectors_and_bad_exponents():
-    mh = h_class(2, rat(2))
+    mh = HClassModule(2, rat(2))
     with pytest.raises(ValueError):
         mh.act(h, A(0))
     with pytest.raises(ValueError):
         mh.act(h, X1)  # h^1 needs a square root of a = 2
-    mg = g_class("sign")
+    mg = GClassModule("sign")
     with pytest.raises(ValueError):
         mg.act(h, X1)
 
@@ -87,39 +87,39 @@ def test_act_rejects_foreign_vectors_and_bad_exponents():
 def test_action_generator_tables_g_class():
     # sign: g.a0 = -a0, g.an = bn, g.bn = an, h.an = a_{n+1},
     #       h.bn = b_{n-1} (n >= 2), h.b1 = -a0
-    m = g_class("sign")
+    m = GClassModule("sign")
     assert [str(t) for t in m.act(g, A(0))] == ["(-1)*a0"]
     assert [str(t) for t in m.act(g, A(3))] == ["(1)*b3"]
     assert [str(t) for t in m.act(g, B(3))] == ["(1)*a3"]
     assert [str(t) for t in m.act(h, A(3))] == ["(1)*a4"]
     assert [str(t) for t in m.act(h, B(3))] == ["(1)*b2"]
-    m = g_class("eps")
+    m = GClassModule("eps")
     assert [str(t) for t in m.act(g, A(0))] == ["(1)*a0"]
     assert [str(t) for t in m.act(h, B(1))] == ["(1)*a0"]
 
 
 def test_action_generator_tables_gh_class():
     # sign: g.a0 = -a1, h.b1 = -a1
-    m = gh_class("sign")
+    m = GhClassModule("sign")
     assert [str(t) for t in m.act(g, A(0))] == ["(-1)*a1"]
     assert [str(t) for t in m.act(h, B(1))] == ["(-1)*a1"]
     assert [str(t) for t in m.act(g, A(2))] == ["(1)*b2"]
     assert [str(t) for t in m.act(h, B(3))] == ["(1)*b2"]
-    m = gh_class("eps")
+    m = GhClassModule("eps")
     assert [str(t) for t in m.act(g, A(0))] == ["(1)*a1"]
     assert [str(t) for t in m.act(h, B(1))] == ["(1)*a1"]
 
 
 def test_coact_examples():
-    mg = g_class("sign")
+    mg = GClassModule("sign")
     assert mg.coact(A(0)) == g
     assert mg.coact(A(3)) == GroupElement(1, -6)     # h^6 g in normal form
     assert mg.coact(B(2)) == GroupElement(1, 4)      # g h^4
-    mgh = gh_class("eps")
+    mgh = GhClassModule("eps")
     assert mgh.coact(A(3)) == GroupElement(1, -5)    # h^5 g
     assert mgh.coact(A(0)) == g * h
     assert mgh.coact(B(1)) == g * h                  # alias of a0's degree
-    mh = h_class(2, rat(1))
+    mh = HClassModule(2, rat(1))
     assert mh.coact(X1) == GroupElement.h(2)
     assert mh.coact(X2) == GroupElement.h(-2)
     m1 = one_class_module("s0+", rat(0))
@@ -127,14 +127,14 @@ def test_coact_examples():
 
 
 def test_braid_examples():
-    mg = g_class("sign")
+    mg = GClassModule("sign")
     t = mg.braid(A(2), B(3))
     assert (str(t.coeff), str(t.left), str(t.right)) == ("1", "a7", "a2")
-    mgh = gh_class("sign")
+    mgh = GhClassModule("sign")
     t = mgh.braid(A(0), A(0))
     # equals b1 (x) a0 under the alias b1 = -a0; canonical form -a0 (x) a0
     assert (str(t.coeff), str(t.left), str(t.right)) == ("-1", "a0", "a0")
-    mh = h_class(1, rat(2))
+    mh = HClassModule(1, rat(2))
     t = mh.braid(X1, X2)
     assert t.coeff == rat("1/2") and t.left == X2 and t.right == X1
     m1 = one_class_module("s0+", rat(0))
@@ -143,9 +143,9 @@ def test_braid_examples():
 
 
 def test_yd_compat():
-    mg = g_class("sign")
+    mg = GClassModule("sign")
     assert yd_compat_check(mg, h, A(0))
-    mh = h_class(1, rat(2))
+    mh = HClassModule(1, rat(2))
     assert yd_compat_check(mh, g, X1)
     for m in all_infinite_modules():
         for x in (g, h):
@@ -228,22 +228,22 @@ def test_coaction_covers_support():
     # distinct coaction degrees witness the infinite support; the gh-class
     # window covers one fewer because b1 shares a0's degree
     w = 12
-    mg = g_class("sign")
+    mg = GClassModule("sign")
     degs = {mg.coact(v) for v in mg.basis_window(w)}
     assert len(degs) == 2 * w + 1
     assert all(conj_class_of(d) == mg.support for d in degs)
-    mgh = gh_class("eps")
+    mgh = GhClassModule("eps")
     degs = {mgh.coact(v) for v in mgh.basis_window(w)}
     assert len(degs) == 2 * w
     assert all(conj_class_of(d) == mgh.support for d in degs)
-    mh = h_class(3, rat(1))
+    mh = HClassModule(3, rat(1))
     assert len({mh.coact(v) for v in mh.basis()}) == 2
 
 
 def test_diagonal_type():
     a = Scalar.zeta(12, 4)
     for n in range(1, 6):
-        m = h_class(n, a)
+        m = HClassModule(n, a)
         mtx = diagonal_type(m)
         assert mtx == [[a, a ** -1], [a ** -1, a]]
     m1 = one_class_module("s0+", rat(0))
@@ -252,7 +252,7 @@ def test_diagonal_type():
     m2 = one_class_module("slam+", rat(2))
     assert diagonal_type(m2) == [[one]]
     with pytest.raises(ValueError):
-        diagonal_type(g_class("sign"))
+        diagonal_type(GClassModule("sign"))
 
 
 def test_braiding_tables_window8():
@@ -268,7 +268,7 @@ def test_braiding_tables_finite():
 
 def test_table_check_reports_perturbed_table():
     # shift the second bb-branch index by +1; the checker must catch it
-    m = gh_class("sign")
+    m = GhClassModule("sign")
     good = reflection_table(1, -1)
 
     def perturbed(v, w):
@@ -286,4 +286,4 @@ def test_table_check_reports_perturbed_table():
 def test_one_class_requires_axiom_pass():
     bad = {c.label: c for c in simple_modules(rat(3))}["slam+"]
     with pytest.raises(ValueError):
-        one_class(bad.rep)
+        OneClassModule(bad.rep)
