@@ -29,7 +29,6 @@ from .repn import (
     idempotent_pair,
     is_irreducible,
     module_axiom_check,
-    radical_line,
     rep_iso_check,
     simple_modules,
 )

@@ -2,7 +2,7 @@
 
 Matrices are lists of lists (rows) of Scalar, all of one cyclotomic order.
 Sizes here are small (the Nichols layer hands over one letter-content
-block at a time), so everything is dense.  Rank, kernel and inverse all go
+block at a time), so everything is dense.  Rank and kernel both go
 through one Gauss-Jordan elimination over Q(zeta_N).
 """
 
@@ -77,16 +77,6 @@ def exact_rank(a) -> int:
     return len(_row_reduce(a)[1])
 
 
-def mat_inverse(a):
-    """Exact inverse; raises ZeroDivisionError if singular."""
-    n = len(a)
-    ident = identity(n, a[0][0].order)
-    rows, pivots = _row_reduce([list(row) + irow for row, irow in zip(a, ident)])
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in rows]
-
-
 def nullspace(a):
     """Basis of the right kernel, as coefficient vectors (lists of Scalar)."""
     if not a:
@@ -107,7 +97,10 @@ def nullspace(a):
     return basis
 
 
-def numeric_rank(a, tol: float = 1e-8) -> int:
+NUMERIC_RANK_TOL = 1e-8
+
+
+def numeric_rank(a) -> int:
     """Floating-point SVD rank of the complex embedding (independent oracle)."""
     import numpy as np
 
@@ -117,5 +110,5 @@ def numeric_rank(a, tol: float = 1e-8) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0:
         return 0
-    cutoff = tol * max(float(s[0]), 1.0)
+    cutoff = NUMERIC_RANK_TOL * max(float(s[0]), 1.0)
     return int((s > cutoff).sum())

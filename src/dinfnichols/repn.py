@@ -178,22 +178,24 @@ def idempotent_pair(lam: Scalar) -> tuple[ALambdaElement, ALambdaElement]:
     half = Fraction(1, 2)
     e1 = ALambdaElement(lam, [half, half, 0, 0])
     e2 = ALambdaElement(lam, [half, -half, 0, 0])
-    one = ALambdaElement.one(lam)
     zero = ALambdaElement.zero(lam)
-    assert e1 * e1 == e1 and e2 * e2 == e2, "idempotent relation failed"
-    assert e1 * e2 == zero and e2 * e1 == zero, "orthogonality failed"
-    assert e1 + e2 == one, "decomposition of 1 failed"
+    if not (e1 * e1 == e1 and e2 * e2 == e2):
+        raise ArithmeticError("idempotent relation failed")
+    if not (e1 * e2 == zero and e2 * e1 == zero):
+        raise ArithmeticError("orthogonality failed")
+    if e1 + e2 != ALambdaElement.one(lam):
+        raise ArithmeticError("decomposition of 1 failed")
     return e1, e2
 
 
 @dataclass(frozen=True)
 class CornerData:
     """One corner e*A (right) or A*e (left): idempotent, 2-element basis,
-    and the nilpotent line (None until computed)."""
+    and the nilpotent line."""
 
     idempotent: ALambdaElement
     basis: tuple[ALambdaElement, ALambdaElement]
-    radical_line: Optional[ALambdaElement]
+    radical_line: ALambdaElement
     side: str          # "plus" or "minus"
     left: bool = False
 
@@ -217,30 +219,22 @@ def _corner_basis(lam: Scalar, side: str, left: bool):
 
 
 def corner_data(lam: Scalar, side: str, left: bool = False) -> CornerData:
-    """Corner of A_lambda at e1 (plus) or e2 (minus), with its radical line."""
+    """Corner of A_lambda at e1 (plus) or e2 (minus), with its radical line.
+
+    The nilpotent line r = b - (lambda/2) a is verified exactly: r^2 = 0
+    and r kills the corner basis from the side the corner lives on.
+    """
     e1, e2 = idempotent_pair(lam)
     e = e1 if side == "plus" else e2
     a, b = _corner_basis(lam, side, left)
-    corner = CornerData(e, (a, b), None, side, left)
-    r = radical_line(corner, lam)
-    return CornerData(e, (a, b), r, side, left)
-
-
-def radical_line(corner: CornerData, lam: Scalar) -> ALambdaElement:
-    """The nilpotent line b - (lambda/2) a of a corner, verified exactly.
-
-    Checks r^2 = 0 and that r kills the corner basis from the side the
-    corner lives on before returning.
-    """
-    a, b = corner.basis
     r = b - a.scale(lam * Fraction(1, 2))
-    zero = ALambdaElement.zero(lam)
-    assert r * r == zero, "radical line does not square to zero"
-    if corner.left:
-        assert (a * r == zero and b * r == zero), "corner does not kill radical"
-    else:
-        assert (r * a == zero and r * b == zero), "radical does not kill corner"
-    return r
+    if not (r * r).is_zero():
+        raise ArithmeticError("radical line does not square to zero")
+    if left and not ((a * r).is_zero() and (b * r).is_zero()):
+        raise ArithmeticError("corner does not kill radical")
+    if not left and not ((r * a).is_zero() and (r * b).is_zero()):
+        raise ArithmeticError("radical does not kill corner")
+    return CornerData(e, (a, b), r, side, left)
 
 
 def corner_power_identity(x1: Scalar, x2: Scalar, lam: Scalar, n: int,
@@ -261,11 +255,11 @@ def corner_power_identity(x1: Scalar, x2: Scalar, lam: Scalar, n: int,
 
 @dataclass(frozen=True)
 class FinRep:
-    """Matrices of g, h (and the exact inverse of h) for a 1- or 2-dim rep."""
+    """Matrices of g and h for a 1- or 2-dim rep; once the module axioms
+    hold, h^-1 acts as G H G."""
 
     G: tuple
     H: tuple
-    Hinv: tuple
 
     @property
     def dim(self) -> int:
@@ -277,11 +271,8 @@ class FinRep:
 
     @classmethod
     def from_matrices(cls, G, H) -> "FinRep":
-        """Build a rep candidate; Hinv is the exact matrix inverse of H."""
-        g = tuple(tuple(r) for r in G)
-        h = tuple(tuple(r) for r in H)
-        hinv = tuple(tuple(r) for r in linalg.mat_inverse([list(r) for r in H]))
-        return cls(g, h, hinv)
+        """Build a rep candidate from row lists."""
+        return cls(tuple(tuple(r) for r in G), tuple(tuple(r) for r in H))
 
 
 @dataclass(frozen=True)
@@ -298,18 +289,12 @@ class CheckResult:
 
 
 def module_axiom_check(rep: FinRep) -> CheckResult:
-    """Verify h*h^-1 = 1, g^2 = 1 and g h g = h^-1 as exact matrices."""
-    order = rep.order
-    ident = linalg.identity(rep.dim, order)
-    G = [list(r) for r in rep.G]
-    H = [list(r) for r in rep.H]
-    Hinv = [list(r) for r in rep.Hinv]
-    if not linalg.mat_eq(linalg.mat_mul(H, Hinv), ident):
-        return CheckResult(False, "h h^-1 != 1")
-    if not linalg.mat_eq(linalg.mat_mul(G, G), ident):
+    """Verify g^2 = 1 and (g h)^2 = 1, i.e. g h g = h^-1, as exact matrices."""
+    ident = linalg.identity(rep.dim, rep.order)
+    if not linalg.mat_eq(linalg.mat_mul(rep.G, rep.G), ident):
         return CheckResult(False, "g^2 != 1")
-    ghg = linalg.mat_mul(G, linalg.mat_mul(H, G))
-    if not linalg.mat_eq(ghg, Hinv):
+    gh = linalg.mat_mul(rep.G, rep.H)
+    if not linalg.mat_eq(linalg.mat_mul(gh, gh), ident):
         return CheckResult(False, "g h g != h^-1")
     return CheckResult(True)
 

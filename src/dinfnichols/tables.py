@@ -15,7 +15,7 @@ multiples of a-vectors; both sides of the comparison are canonicalized first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .field import Scalar
 from .repn import CheckResult
@@ -84,20 +84,18 @@ class TableWitness:
     expected: str
 
 
-def braiding_table_check(m: YDModule, window: int,
-                         table: Optional[TableFunc] = None) -> CheckResult:
+def braiding_table_check(m: YDModule, window: int) -> CheckResult:
     """Compare braid(m, v, w) from act/coact with the closed form.
 
     For the infinite families all label pairs with indices <= window are
-    checked against ``table`` (default: :func:`reflection_table`); the
-    finite families are checked exhaustively against :func:`closed_form_q`
-    (window and table ignored).  Returns the first mismatch as a witness.
+    checked against :func:`reflection_table`; the finite families are
+    checked exhaustively against :func:`closed_form_q` (window ignored).
+    Returns the first mismatch as a witness.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if isinstance(m, ReflectionClassModule):
-        if table is None:
-            table = reflection_table(m.twist, 1 if m.rep == EPS else -1)
+        table = reflection_table(m.twist, 1 if m.rep == EPS else -1)
 
         def expected(v, w):
             return canonicalize(m, table(v, w))

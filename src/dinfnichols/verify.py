@@ -18,7 +18,6 @@ from .repn import (
     corner_power_identity,
     idempotent_pair,
     is_irreducible,
-    radical_line,
     corner_data,
     reduce_word,
     simple_modules,
@@ -68,7 +67,7 @@ def yd_suite(window: int = 20, seed: int = 0, order: int = DEFAULT_ORDER) -> Sui
     for m in _sample_modules(order):
         basis = m.basis_window(window)
         # h-class modules act through <g, h^n>
-        rot = GroupElement.h(getattr(m, "n", 1))
+        rot = GroupElement.h(m.step)
         ok = all(yd_compat_check(m, x, v) for x in (g, rot) for v in basis)
         res.record(f"yd compatibility: {m!r}", ok)
         ident = GroupElement.identity()
@@ -162,8 +161,7 @@ def alambda_suite(window: int = 8, seed: int = 0,
                 break
         res.record(f"corner power identity: lambda={lam}", powers_ok)
         for side in ("plus", "minus"):
-            c = corner_data(lam, side)
-            r = radical_line(c, lam)
+            r = corner_data(lam, side).radical_line
             res.record(f"radical line squares to zero: lambda={lam} {side}",
                        (r * r).is_zero())
     for lam in lambdas[:3] + [Scalar.from_rational(3, order)]:

@@ -18,6 +18,9 @@ Four families, one per conjugacy class:
 * one-class (support {1}): a finite-dimensional simple module with trivial
   grading, so the braiding is the plain flip.
 
+The two finite families share one matrix action (:class:`FiniteClassModule`)
+and differ only in their matrices, degrees and step.
+
 The braiding is always c(v (x) w) = deg(v).w (x) v, computed from the
 coaction followed by the action; the closed-form tables live in
 ``tables.py`` and are checked against this composition, never trusted.
@@ -39,6 +42,7 @@ from .group import (
     ODD_REFLECTIONS,
     ONE,
 )
+from .linalg import mat_mul
 from .repn import CheckResult, FinRep, module_axiom_check
 
 SIGN = "sign"
@@ -119,6 +123,7 @@ class YDModule:
     support: ConjClass
     dim: Optional[int]      # None for the infinite families
     order: int              # cyclotomic order of all coefficients
+    step = 1                # h^step generates the rotations that act
 
     def contains(self, v: BasisVector) -> bool:
         raise NotImplementedError
@@ -149,7 +154,59 @@ class YDModule:
         return BraidTerm(sv.coeff, sv.vec, v)
 
 
-class HClassModule(YDModule):
+class FiniteClassModule(YDModule):
+    """A finite family: <g, h^step> acts through the matrices of ``rep``.
+
+    ``rep.G`` and ``rep.H`` give g and h^step on ``basis``, whose vectors
+    have the given ``degrees``.  x = g^e h^m acts only when step | m:
+    h^step acts q = m/step times, as G H^|q| G when q < 0 (g h g = h^-1),
+    and then g if e = 1.
+    """
+
+    def __init__(self, rep: FinRep, basis, degrees, step: int,
+                 support: ConjClass):
+        self.rep = rep
+        self._degrees = dict(zip(basis, degrees))
+        self.step = step
+        self.support = support
+        self.order = rep.order
+        self.dim = rep.dim
+
+    def contains(self, v):
+        return v in self._degrees
+
+    def basis(self):
+        return list(self._degrees)
+
+    def act(self, x, v):
+        self._require(v)
+        q, r = divmod(x.exponent, self.step)
+        if r != 0:
+            raise ValueError(
+                f"h^{x.exponent} does not act on the h^{self.step}-class module: "
+                f"the action is defined on the subgroup <g, h^{self.step}>")
+        G, H = self.rep.G, self.rep.H
+        mats = [H] * abs(q)
+        if q < 0:
+            mats = [G] + mats + [G]
+        if x.reflection:
+            mats.append(G)
+        zero, one = Scalar.zero(self.order), Scalar.one(self.order)
+        col = [[one if w == v else zero] for w in self._degrees]
+        for mat in mats:
+            col = mat_mul(mat, col)
+        out = tuple(SignedVector(c, w) for (c,), w in zip(col, self._degrees)
+                    if not c.is_zero())
+        if not out:
+            raise ValueError("group action produced zero; rep is corrupt")
+        return out
+
+    def coact(self, v):
+        self._require(v)
+        return self._degrees[v]
+
+
+class HClassModule(FiniteClassModule):
     """M over the class {h^n, h^-n}: basis x1 = 1 (x) x, x2 = g (x) x.
 
     deg x1 = h^n, deg x2 = h^-n; h^n acts by a on x1 and a^-1 on x2;
@@ -163,35 +220,13 @@ class HClassModule(YDModule):
             raise ValueError("parameter a must be nonzero")
         self.n = n
         self.a = a
-        self.order = a.order
-        self.support = ConjClass(H_POWER, n)
-        self.dim = 2
+        zero, one = Scalar.zero(a.order), Scalar.one(a.order)
+        rep = FinRep(((zero, one), (one, zero)), ((a, zero), (zero, a.inverse())))
+        super().__init__(rep, (X1, X2), (GroupElement(0, n), GroupElement(0, -n)),
+                         n, ConjClass(H_POWER, n))
 
     def __repr__(self):
         return f"HClassModule(n={self.n}, a={self.a})"
-
-    def contains(self, v):
-        return v.kind in ("x1", "x2")
-
-    def basis(self):
-        return [X1, X2]
-
-    def act(self, x, v):
-        self._require(v)
-        q, r = divmod(x.exponent, self.n)
-        if r != 0:
-            raise ValueError(
-                f"h^{x.exponent} does not act on the h^{self.n}-class module: "
-                f"the action is defined on the subgroup <g, h^{self.n}>")
-        coeff = self.a ** (q if v.kind == "x1" else -q)
-        vec = v
-        if x.reflection:
-            vec = X2 if v.kind == "x1" else X1
-        return (SignedVector(coeff, vec),)
-
-    def coact(self, v):
-        self._require(v)
-        return GroupElement(0, self.n if v.kind == "x1" else -self.n)
 
 
 class ReflectionClassModule(YDModule):
@@ -262,7 +297,7 @@ class GhClassModule(ReflectionClassModule):
     support = ConjClass(ODD_REFLECTIONS)
 
 
-class OneClassModule(YDModule):
+class OneClassModule(FiniteClassModule):
     """M over the trivial class: a simple module with deg v = 1 everywhere.
 
     The coaction is trivial, so the braiding is the flip no matter what the
@@ -274,48 +309,12 @@ class OneClassModule(YDModule):
         check = module_axiom_check(rep)
         if not check.ok:
             raise ValueError(f"rep fails module axioms: {check.witness}")
-        self.rep = rep
         self.label = label
-        self.order = rep.order
-        self.dim = rep.dim
-        self.support = ConjClass(ONE)
+        super().__init__(rep, (V1, V2)[:rep.dim],
+                         (GroupElement.identity(),) * rep.dim, 1, ConjClass(ONE))
 
     def __repr__(self):
         return f"OneClassModule({self.label!r}, dim={self.dim})"
-
-    def contains(self, v):
-        if self.dim == 1:
-            return v.kind == "v1"
-        return v.kind in ("v1", "v2")
-
-    def basis(self):
-        return [V1] if self.dim == 1 else [V1, V2]
-
-    def act(self, x, v):
-        self._require(v)
-        col = 0 if v.kind == "v1" else 1
-        vec = [Scalar.zero(self.order)] * self.dim
-        vec[col] = Scalar.one(self.order)
-        mats = []
-        if x.reflection:
-            mats.append(self.rep.G)
-        power = self.rep.H if x.exponent >= 0 else self.rep.Hinv
-        mats.extend([power] * abs(x.exponent))
-        # normal form g^e h^m applies h^m first, then g
-        for mat in reversed(mats):
-            vec = [sum((mat[i][j] * vec[j] for j in range(self.dim)),
-                       Scalar.zero(self.order)) for i in range(self.dim)]
-        out = []
-        for i, c in enumerate(vec):
-            if not c.is_zero():
-                out.append(SignedVector(c, V1 if i == 0 else V2))
-        if not out:
-            raise ValueError("group action produced zero; rep is corrupt")
-        return tuple(out)
-
-    def coact(self, v):
-        self._require(v)
-        return GroupElement(0, 0)
 
 
 # -- family constructors -------------------------------------------------------

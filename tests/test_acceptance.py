@@ -27,7 +27,6 @@ from dinfnichols.repn import (
     idempotent_pair,
     is_irreducible,
     module_axiom_check,
-    radical_line,
     corner_data,
     reduce_word,
     rep_iso_check,
@@ -161,8 +160,7 @@ def test_criterion_4_alambda_suite():
         assert e1 * e1 == e1 and (e1 * e2).is_zero()
         assert e1 + e2 == reduce_word(lam, [])
         for side in ("plus", "minus"):
-            c = corner_data(lam, side)
-            assert (radical_line(c, lam) ** 2).is_zero()
+            assert (corner_data(lam, side).radical_line ** 2).is_zero()
     for _ in range(100):
         lam = rng.choice(lambdas)
         x1 = rat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -184,7 +182,7 @@ def test_criterion_5_simple_module_suite():
     for cand in simple_modules(rat(3)):
         assert cand.dim == 1
         assert not cand.axiom.ok
-        assert cand.axiom.witness in ("g h g != h^-1", "h h^-1 != 1")
+        assert cand.axiom.witness == "g h g != h^-1"
         witnesses.append(cand.axiom.witness)
     zero_cands = simple_modules(rat(0))
     verdict1 = rep_iso_check(zero_cands[0].rep, zero_cands[1].rep)
@@ -230,7 +228,7 @@ def test_criterion_7_exact_vs_float_rank(nichols_results):
     checked = 0
     for name, r in nichols_results.items():
         for n, mat in r["matrices"].items():
-            assert exact_rank(mat) == numeric_rank(mat, tol=1e-8), (name, n)
+            assert exact_rank(mat) == numeric_rank(mat), (name, n)
             checked += 1
     print(f"PASS criterion 7: exact rank equals SVD rank on all {checked} "
           f"acceptance matrices")

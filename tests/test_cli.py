@@ -151,12 +151,22 @@ def test_classify_default_report_matches_golden(capsys):
     assert out == golden.read_text()
 
 
-@pytest.mark.parametrize("order", ["12", "5"])
-def test_verify_output_matches_pinned(capsys, order):
-    # every check line of the four suites, byte for byte
+@pytest.mark.parametrize("order,optimized", [
+    pytest.param("12", False, id="12"),
+    pytest.param("5", False, id="5"),
+    pytest.param("12", True, id="12-O"),
+])
+def test_verify_output_matches_pinned(capsys, order, optimized):
+    # every check line of the four suites, byte for byte; under python -O
+    # too, so that no reported check can hide in an assert
     pinned = Path(__file__).resolve().parent / "golden" / f"verify-w3-s0-z{order}.txt"
-    code, out = run_cli(capsys, "verify", "--suite", "all", "--window", "3",
-                        "--seed", "0", "--zeta-order", order)
+    argv = ["verify", "--suite", "all", "--window", "3", "--seed", "0"]
+    if optimized:
+        r = subprocess.run([sys.executable, "-O", "-B", "-m", "dinfnichols.cli", *argv],
+                           capture_output=True, text=True)
+        code, out = r.returncode, r.stdout
+    else:
+        code, out = run_cli(capsys, *argv, "--zeta-order", order)
     assert code == 0
     assert out == pinned.read_text()
 

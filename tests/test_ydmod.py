@@ -6,7 +6,8 @@ import pytest
 from dinfnichols.field import Scalar
 from dinfnichols.group import GroupElement, conj_class_of
 from dinfnichols.repn import simple_modules
-from dinfnichols.tables import braiding_table_check, reflection_table
+from dinfnichols import tables
+from dinfnichols.tables import braiding_table_check
 from dinfnichols.ydmod import (
     A,
     B,
@@ -152,7 +153,7 @@ def test_yd_compat():
             for v in m.basis_window(20):
                 assert yd_compat_check(m, x, v)
     for m in all_finite_modules():
-        rot = GroupElement.h(getattr(m, "n", 1))
+        rot = GroupElement.h(m.step)
         for x in (g, rot):
             for v in m.basis():
                 assert yd_compat_check(m, x, v)
@@ -176,7 +177,7 @@ def test_action_respects_relations_window():
 def test_action_respects_relations_finite_families():
     # rotations act through h^n on the h-class families
     for m in all_finite_modules():
-        rot = GroupElement.h(getattr(m, "n", 1))
+        rot = GroupElement.h(m.step)
         for v in m.basis():
             terms = {v: Scalar.one(ORDER)}
             for x in (g, g):
@@ -187,6 +188,25 @@ def test_action_respects_relations_finite_families():
                 terms = _apply(m, x, terms)
             expected = _apply(m, rot.inverse(), {v: Scalar.one(ORDER)})
             assert terms == expected
+
+
+def test_negative_rotations_undo_positive_ones():
+    # h^(-k step) undoes h^(k step) for powers past the generator itself
+    for m in all_finite_modules():
+        for k in (1, 2, 3):
+            up, down = GroupElement.h(k * m.step), GroupElement.h(-k * m.step)
+            for v in m.basis():
+                assert _apply(m, down, _apply(m, up, {v: Scalar.one(ORDER)})) \
+                    == {v: Scalar.one(ORDER)}
+
+
+def test_h_class_negative_powers_act_by_inverse_powers():
+    for n in (1, 2, 3):
+        for a in (rat(2), rat("3/2"), Scalar.zeta(12, 4)):
+            m = HClassModule(n, a)
+            for k in (1, 2, 3):
+                (t,) = m.act(GroupElement.h(-k * n), X1)
+                assert t.vec == X1 and t.coeff == a ** -k
 
 
 def _apply(m, x, terms):
@@ -266,10 +286,10 @@ def test_braiding_tables_finite():
         assert braiding_table_check(m, 1).ok
 
 
-def test_table_check_reports_perturbed_table():
+def test_table_check_reports_perturbed_table(monkeypatch):
     # shift the second bb-branch index by +1; the checker must catch it
     m = GhClassModule("sign")
-    good = reflection_table(1, -1)
+    good = tables.reflection_table(1, -1)
 
     def perturbed(v, w):
         sign, kind, index = good(v, w)
@@ -277,7 +297,8 @@ def test_table_check_reports_perturbed_table():
             return (sign, kind, index + 1)
         return (sign, kind, index)
 
-    check = braiding_table_check(m, 8, table=perturbed)
+    monkeypatch.setattr(tables, "reflection_table", lambda twist, rep_sign: perturbed)
+    check = braiding_table_check(m, 8)
     assert not check.ok
     assert check.witness is not None
     assert check.witness.computed != check.witness.expected
