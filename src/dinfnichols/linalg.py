@@ -2,8 +2,8 @@
 
 Matrices are lists of lists (rows) of Scalar, all of one cyclotomic order.
 Sizes here are small (the Nichols layer hands over one letter-content
-block at a time), so everything is dense.  Rank and kernel both go
-through one Gauss-Jordan elimination over Q(zeta_N).
+block at a time), so everything is dense.  Row basis, rank and kernel all
+go through one Gauss-Jordan elimination over Q(zeta_N).
 """
 
 from __future__ import annotations
@@ -72,9 +72,18 @@ def _row_reduce(a):
     return rows, pivots
 
 
+def echelon_rows(a):
+    """The nonzero rows of the reduced row echelon form of a.
+
+    They are a basis of the row space of a over Q(zeta_N).
+    """
+    rows, pivots = _row_reduce(a)
+    return rows[:len(pivots)]
+
+
 def exact_rank(a) -> int:
     """Exact rank over Q(zeta_N)."""
-    return len(_row_reduce(a)[1])
+    return len(echelon_rows(a))
 
 
 def nullspace(a):

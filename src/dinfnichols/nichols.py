@@ -7,13 +7,22 @@ symmetrizer Sym_n, the sum over S_n of the braid lifts of permutations, and
 dim B^n(V) is its exact rank over Q(zeta_N).
 
 The length-additive coset factorization
-  Sym_n = (sum_{j=1..n} c_j c_{j+1} ... c_{n-1}) . (Sym_{n-1} (x) id)
+  Sym_n = T_n . (Sym_{n-1} (x) id),  T_n = sum_{j=1..n} c_j c_{j+1} ... c_{n-1},
 reads, on words u, w of letter indices (letter i is m.basis()[i]),
   Sym_n[u, w] = sum_{j: u_j = w_n} prod_{k>j} q(u_k, u_j) Sym_{n-1}[u - u_j, w - w_n]
 with Sym_0 = 1; it is the same matrix as the naive n!-term sum (the tests
 compare the two for small n).  A diagonal braiding only permutes letters, so
 Sym_n is block diagonal by letter content (the multiset of letters of a
 word) and its rank is the sum of the block ranks.
+
+graded_dims never builds Sym_n.  The factorization gives
+  im Sym_n = T_n(im Sym_{n-1} (x) V),
+and T_n(u (x) x) inserts the letter x into the word u at every position,
+with coefficient prod q(u_k, x) over the letters u_k it passes.  So a basis
+of B^n on a content block comes from eliminating the images T_n(b (x) x) of
+the basis vectors b of B^{n-1}, and the work per degree scales with
+dim B^{n-1} . dim V instead of the number of words.  quantum_symmetrizer
+keeps the full matrix as the independent oracle.
 
 Infinite-dimensional modules and braidings that are not diagonal are
 rejected.  Operations refuse degrees past DEGREE_CAP instead of switching to
@@ -113,20 +122,60 @@ class HilbertPrefix:
         return len(self.dims)
 
 
+def _insert(q, b, x):
+    """T_n(b (x) x) for a vector b = {word: coefficient} of degree n - 1."""
+    out = {}
+    for u, v in b.items():
+        coeff = v
+        for j in range(len(u), -1, -1):
+            w = u[:j] + (x,) + u[j:]
+            out[w] = out[w] + coeff if w in out else coeff
+            if j:
+                coeff = coeff * q[u[j - 1]][x]
+    return out
+
+
 def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
-    """Exact graded dimensions of the Nichols algebra up to max_degree."""
+    """Exact graded dimensions of the Nichols algebra up to max_degree.
+
+    The image recursion of the module docstring: basis[c] is the echelon
+    basis of B^n on the block of letter content c (c[i] = how often letter
+    i occurs), each vector a dict {word: coefficient}.  A degree-n block c
+    is spanned by T_n(b (x) x) over the letters x in c and the vectors b of
+    basis[c - x]; one elimination (linalg.echelon_rows) per block gives its
+    basis, and dim B^n is the sum of the block dimensions.
+
+    When the letter reversal s(i) = d - 1 - i fixes q, that is
+    q[s(i)][s(j)] = q[i][j] (for two letters: q_11 = q_22 and q_12 = q_21),
+    relabelling every word by s maps Sym_n on block c onto Sym_n on block
+    c[::-1] entry for entry, by induction on the row recursion.  Only one
+    of the two blocks is then eliminated, and its basis relabelled by s
+    serves for the other.
+    """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     _check_degree(max_degree)
     q = _braiding_matrix(m)
-    row = _symmetrizer_rows(q, m.order)
-    zero = Scalar.zero(m.order)
+    d, zero = len(q), Scalar.zero(m.order)
+    mirror = all(q[d - 1 - i][d - 1 - j] == q[i][j] for i in range(d) for j in range(d))
+    basis = {(0,) * d: [{(): Scalar.one(m.order)}]}
     dims = [1]
-    for n in range(1, max_degree + 1):
-        blocks = {}
-        for u in product(range(len(q)), repeat=n):
-            blocks.setdefault(tuple(sorted(u)), []).append(u)
-        dims.append(sum(
-            linalg.exact_rank([[row(u).get(w, zero) for w in words] for u in words])
-            for words in blocks.values()))
+    for _ in range(max_degree):
+        spans = {}
+        for c, vectors in basis.items():
+            for x in range(d):
+                target = c[:x] + (c[x] + 1,) + c[x + 1:]
+                if not (mirror and target[::-1] > target):
+                    spans.setdefault(target, []).extend(_insert(q, b, x) for b in vectors)
+        basis = {}
+        for c, gens in spans.items():
+            words = sorted(set().union(*gens))
+            rows = linalg.echelon_rows([[g.get(w, zero) for w in words] for g in gens])
+            basis[c] = [{w: v for w, v in zip(words, r) if not v.is_zero()} for r in rows]
+            if mirror and c[::-1] != c:
+                basis[c[::-1]] = [{tuple(d - 1 - i for i in w): v for w, v in b.items()}
+                                  for b in basis[c]]
+        dims.append(sum(map(len, basis.values())))
     return HilbertPrefix(tuple(dims))
 
 

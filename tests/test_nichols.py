@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from dinfnichols.classify import default_grid, enumerate_families
 from dinfnichols.field import Scalar
 from dinfnichols.linalg import exact_rank, identity, mat_eq, numeric_rank, zeros
 from dinfnichols.nichols import (
@@ -167,6 +168,9 @@ class Reversed(YDModule):
 
 
 GENERIC_Q = DiagonalStub([[rat(2), rat(3)], [rat(-1), Scalar.zeta(12)]])
+# symmetric, but q_11 = -1 kills x1^2 and q_22 = 2 does not, so the blocks
+# (k, n-k) and (n-k, k) differ: swapping the letters does not fix q
+UNMIRRORED_Q = DiagonalStub([[rat(-1), rat(3)], [rat(3), rat(2)]])
 
 
 def test_braid_at_examples():
@@ -297,6 +301,33 @@ def test_graded_dims_degree7_closed_forms():
     m = HClassModule(1, Scalar.zeta(12, 4))
     top = numeric_rank(quantum_symmetrizer(m, 7))
     assert top == 36 and graded_dims(m, 7)[7] == top
+
+
+def test_graded_dims_matches_symmetrizer_rank():
+    # the image recursion against the rank of the full symmetrizer matrix
+    mods = [i.module for i in enumerate_families(default_grid()) if i.module.dim is not None]
+    mods += [HClassModule(1, a) for a in (rat("3/2"), Scalar.zeta(12), Scalar.zeta(12, 4))]
+    mods += [GENERIC_Q, Reversed(GENERIC_Q), UNMIRRORED_Q]
+    for m in mods:
+        expect = [1] + [exact_rank(quantum_symmetrizer(m, n)) for n in range(1, 7)]
+        assert list(graded_dims(m, 6)) == expect, m
+
+
+def test_graded_dims_degree8():
+    # U_q^+(A1^(1)) through degree 8; no SVD check for a = 2, where the
+    # float rank is ill-conditioned (it reads 65 at degree 8)
+    for a in (rat(2), rat("3/2")):
+        assert list(graded_dims(HClassModule(1, a), 8)) == [1, 2, 4, 8, 14, 24, 40, 64, 100]
+    m = HClassModule(1, Scalar.zeta(12, 4))
+    assert list(graded_dims(m, 8)) == [1, 2, 4, 6, 10, 16, 24, 36, 52]
+    assert numeric_rank(quantum_symmetrizer(m, 8)) == 52
+
+
+def test_graded_dims_rejects_negative_degree():
+    m = HClassModule(1, rat(2))
+    assert list(graded_dims(m, 0)) == [1]
+    with pytest.raises(ValueError):
+        graded_dims(m, -3)
 
 
 def test_graded_dims_rejects_non_diagonal():
