@@ -52,7 +52,8 @@ def _row_reduce(a):
 
     Returns (rows, pivots): rows[r] for r < len(pivots) has a 1 in column
     pivots[r] and 0 in every other pivot column; the remaining rows are
-    zero.  One field inversion per pivot.
+    zero.  One field inversion per pivot; a row update touches only the
+    columns where the pivot row is nonzero.
     """
     rows = [list(r) for r in a]
     pivots = []
@@ -64,10 +65,12 @@ def _row_reduce(a):
         rows[top], rows[piv] = rows[piv], rows[top]
         inv = rows[top][col].inverse()
         prow = rows[top] = [inv * c for c in rows[top]]
+        support = [(j, p) for j, p in enumerate(prow) if not p.is_zero()]
         for r, row in enumerate(rows):
             f = row[col]
             if r != top and not f.is_zero():
-                rows[r] = [c - f * p for c, p in zip(row, prow)]
+                for j, p in support:
+                    row[j] = row[j] - f * p
         pivots.append(col)
     return rows, pivots
 

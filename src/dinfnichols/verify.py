@@ -137,13 +137,14 @@ def alambda_suite(window: int = 8, seed: int = 0,
                Scalar.zeta(order, order // 3)]
     letters = ["g", "h", "h^-1"]
     for lam in lambdas:
+        gens = {letter: reduce_word(lam, [letter]) for letter in letters}
         ok = True
         for _ in range(200):
             word = [rng.choice(letters) for _ in range(rng.randint(1, 8))]
             left = reduce_word(lam, word)
             right = ALambdaElement.one(lam)
             for letter in reversed(word):
-                right = reduce_word(lam, [letter]) * right
+                right = gens[letter] * right
             if left != right:
                 ok = False
                 break

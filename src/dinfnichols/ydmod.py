@@ -335,7 +335,8 @@ def yd_compat_check(m: YDModule, x: GroupElement, v: BasisVector) -> bool:
     return all(m.coact(term.vec) == expected for term in m.act(x, v))
 
 
-# the benchmark tracer (perfbench/tracer.py) needs this name for nichols.braid_evals
+# kept for the benchmark tracer (perfbench/tracer.py, nichols.braid_evals) and
+# the word-level oracle of the tests; braid_equation_check no longer applies it
 def braid_word_at(m: YDModule, coeff: Scalar, word: tuple, i: int):
     """Apply the braiding to slots (i, i+1) of a tensor word, 1-indexed."""
     if not 1 <= i <= len(word) - 1:
@@ -346,15 +347,35 @@ def braid_word_at(m: YDModule, coeff: Scalar, word: tuple, i: int):
 
 
 def braid_equation_check(m: YDModule, triples: Iterable[tuple]) -> CheckResult:
-    """(c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on the given triples."""
+    """(c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on the given triples.
+
+    Each label pair is braided once per call: c(v (x) w) comes from a dict,
+    local to the call, filled through ``m.braid``.  The first triple whose
+    sides differ is the witness, with each side's coefficient and word.
+    """
     one = Scalar.one(m.order)
+    braided = {}
+
+    def c(v, w):
+        t = braided.get((v, w))
+        if t is None:
+            t = braided[v, w] = m.braid(v, w)
+        return t
+
     for triple in triples:
-        lhs_c, lhs_w = one, tuple(triple)
-        for i in (1, 2, 1):
-            lhs_c, lhs_w = braid_word_at(m, lhs_c, lhs_w, i)
-        rhs_c, rhs_w = one, tuple(triple)
-        for i in (2, 1, 2):
-            rhs_c, rhs_w = braid_word_at(m, rhs_c, rhs_w, i)
+        if len(triple) != 3:
+            raise ValueError(f"braid equation needs triples, got {triple!r}")
+        u, v, w = triple
+        # slots 1, 2, 1
+        s = c(u, v)
+        t = c(s.right, w)
+        r = c(s.left, t.left)
+        lhs_c, lhs_w = one * s.coeff * t.coeff * r.coeff, (r.left, r.right, t.right)
+        # slots 2, 1, 2
+        s = c(v, w)
+        t = c(u, s.left)
+        r = c(t.right, s.right)
+        rhs_c, rhs_w = one * s.coeff * t.coeff * r.coeff, (t.left, r.left, r.right)
         if lhs_c != rhs_c or lhs_w != rhs_w:
             witness = (triple, (str(lhs_c), tuple(map(str, lhs_w))),
                        (str(rhs_c), tuple(map(str, rhs_w))))

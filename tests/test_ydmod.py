@@ -21,6 +21,7 @@ from dinfnichols.ydmod import (
     X1,
     X2,
     braid_equation_check,
+    braid_word_at,
     diagonal_type,
     yd_compat_check,
 )
@@ -242,6 +243,70 @@ def test_braid_equation_far_from_the_window():
         triples = [tuple(rng.choice(labels) for _ in range(3)) for _ in range(200)]
         check = braid_equation_check(m, triples)
         assert check.ok, check.witness
+
+
+def _word_level_braid_check(m, triples):
+    """The braid equation slot by slot through braid_word_at: the first
+    mismatch as (triple, (lhs coeff, lhs word), (rhs coeff, rhs word))."""
+    one = Scalar.one(m.order)
+    for triple in triples:
+        sides = []
+        for slots in ((1, 2, 1), (2, 1, 2)):
+            coeff, word = one, tuple(triple)
+            for i in slots:
+                coeff, word = braid_word_at(m, coeff, word, i)
+            sides.append((coeff, word))
+        (lc, lw), (rc, rw) = sides
+        if lc != rc or lw != rw:
+            return (triple, (str(lc), tuple(map(str, lw))), (str(rc), tuple(map(str, rw))))
+    return None
+
+
+class SkewedGClass(GClassModule):
+    """The sign g-class with c(a1 (x) b2) negated: no longer a braiding."""
+
+    def braid(self, v, w):
+        t = super().braid(v, w)
+        if (v, w) == (A(1), B(2)):
+            return type(t)(-t.coeff, t.left, t.right)
+        return t
+
+
+class CountingGhClass(GhClassModule):
+    def __init__(self, rep):
+        super().__init__(rep)
+        self.braided = []
+
+    def braid(self, v, w):
+        self.braided.append((v, w))
+        return super().braid(v, w)
+
+
+def test_braid_equation_check_reports_word_level_witness():
+    m = SkewedGClass("sign")
+    triples = list(itertools.product(m.basis_window(3), repeat=3))
+    expected = _word_level_braid_check(m, triples)
+    assert expected is not None
+    check = braid_equation_check(m, triples)
+    assert not check.ok
+    assert check.witness == expected
+    # the unperturbed module passes both
+    assert _word_level_braid_check(GClassModule("sign"), triples) is None
+    assert braid_equation_check(GClassModule("sign"), triples).ok
+
+
+def test_braid_equation_check_braids_each_pair_once():
+    m = CountingGhClass("eps")
+    assert braid_equation_check(m, itertools.product(m.basis_window(3), repeat=3)).ok
+    assert len(m.braided) == len(set(m.braided))
+
+
+def test_braid_equation_check_rejects_non_triples():
+    m = GClassModule("sign")
+    with pytest.raises(ValueError):
+        braid_equation_check(m, [(A(0), A(1), B(1), A(2))])
+    with pytest.raises(ValueError):
+        braid_equation_check(m, [(A(0), A(1))])
 
 
 def test_coaction_covers_support():
