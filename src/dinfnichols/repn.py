@@ -45,13 +45,13 @@ class ALambdaElement:
 
     @classmethod
     def basis(cls, lam: Scalar, name: str) -> "ALambdaElement":
-        coeffs = [0, 0, 0, 0]
-        coeffs[_BASIS_NAMES.index(name)] = 1
-        return cls(lam, coeffs)
+        coeffs = [Scalar.zero(lam.order)] * 4
+        coeffs[_BASIS_NAMES.index(name)] = Scalar.one(lam.order)
+        return _element(lam, tuple(coeffs))
 
     @classmethod
     def zero(cls, lam: Scalar) -> "ALambdaElement":
-        return cls(lam, [0, 0, 0, 0])
+        return _element(lam, (Scalar.zero(lam.order),) * 4)
 
     @classmethod
     def one(cls, lam: Scalar) -> "ALambdaElement":
@@ -70,18 +70,18 @@ class ALambdaElement:
 
     def __add__(self, other):
         self._check(other)
-        return ALambdaElement(self.lam, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _element(self.lam, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return ALambdaElement(self.lam, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _element(self.lam, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return ALambdaElement(self.lam, [-a for a in self.coeffs])
+        return _element(self.lam, tuple(-a for a in self.coeffs))
 
     def scale(self, s) -> "ALambdaElement":
         s = s if isinstance(s, Scalar) else Scalar.from_rational(s, self.lam.order)
-        return ALambdaElement(self.lam, [s * a for a in self.coeffs])
+        return _element(self.lam, tuple(s * a for a in self.coeffs))
 
     def __mul__(self, other):
         self._check(other)
@@ -98,7 +98,7 @@ class ALambdaElement:
     def _check(self, other):
         if not isinstance(other, ALambdaElement):
             raise TypeError("expected an ALambdaElement")
-        if other.lam != self.lam:
+        if other.lam is not self.lam and other.lam != self.lam:
             raise ValueError("mismatched lambda")
 
     def __str__(self):
@@ -111,9 +111,22 @@ class ALambdaElement:
     __repr__ = __str__
 
 
+def _element(lam: Scalar, coeffs: tuple) -> ALambdaElement:
+    # four Scalars of lam's order, already checked: no coercion
+    out = object.__new__(ALambdaElement)
+    out.lam = lam
+    out.coeffs = coeffs
+    return out
+
+
 @lru_cache(maxsize=64)
 def _basis_product_table(lam: Scalar):
-    # rows/cols indexed by (1, g, h, gh); entries are coefficient 4-tuples
+    """Sparse structure constants: (i, j) -> the terms (k, c, negate) of
+    b_i * b_j in the basis (1, g, h, gh), one per nonzero coefficient.
+
+    A unit coefficient is stored as c = None, with ``negate`` set for -1;
+    any other coefficient is the Scalar c, with ``negate`` False.
+    """
     one = Scalar.one(lam.order)
     zero = Scalar.zero(lam.order)
     l = lam
@@ -130,26 +143,43 @@ def _basis_product_table(lam: Scalar):
         # gh*g = lambda - h, gh*h = lambda gh - g, gh*gh = 1
         (3, 0): egh, (3, 1): v(l, ch=-one), (3, 2): v(cg=-one, cgh=l), (3, 3): e1,
     }
-    return table
+
+    def term(k, c):
+        if c == one or c == -one:
+            return (k, None, c != one)
+        return (k, c, False)
+
+    return {ij: tuple(term(k, c) for k, c in enumerate(row) if not c.is_zero())
+            for ij, row in table.items()}
 
 
 def alambda_multiply(x: ALambdaElement, y: ALambdaElement) -> ALambdaElement:
-    """Product reduced to the (1, g, h, gh) basis."""
-    if x.lam != y.lam:
+    """Product reduced to the (1, g, h, gh) basis.
+
+    Runs over the nonzero coefficients of x and y and the sparse structure
+    constants; a unit constant adds or subtracts x_i y_j without a product,
+    and a basis coefficient no term reaches is zero.
+    """
+    lam = x.lam
+    if y.lam is not lam and y.lam != lam:
         raise ValueError("mismatched lambda")
-    table = _basis_product_table(x.lam)
-    acc = [Scalar.zero(x.lam.order) for _ in range(4)]
+    table = _basis_product_table(lam)
+    ys = [(j, yj) for j, yj in enumerate(y.coeffs) if not yj.is_zero()]
+    acc = [None] * 4
     for i, xi in enumerate(x.coeffs):
         if xi.is_zero():
             continue
-        for j, yj in enumerate(y.coeffs):
-            if yj.is_zero():
-                continue
+        for j, yj in ys:
             f = xi * yj
-            for k, c in enumerate(table[(i, j)]):
-                if not c.is_zero():
-                    acc[k] = acc[k] + f * c
-    return ALambdaElement(x.lam, acc)
+            for k, c, negate in table[i, j]:
+                t = f if c is None else f * c
+                a = acc[k]
+                if a is None:
+                    acc[k] = -t if negate else t
+                else:
+                    acc[k] = a - t if negate else a + t
+    zero = Scalar.zero(lam.order)
+    return _element(lam, tuple(zero if a is None else a for a in acc))
 
 
 def generator_image(lam: Scalar, letter: str) -> ALambdaElement:
@@ -159,15 +189,20 @@ def generator_image(lam: Scalar, letter: str) -> ALambdaElement:
     if letter == "h":
         return ALambdaElement.basis(lam, "h")
     if letter == "h^-1":
-        return ALambdaElement(lam, [lam, 0, -Scalar.one(lam.order), 0])
+        zero = Scalar.zero(lam.order)
+        return _element(lam, (lam, zero, -Scalar.one(lam.order), zero))
     raise ValueError(f"unknown generator {letter!r}")
 
 
 def reduce_word(lam: Scalar, word) -> ALambdaElement:
     """Reduce a word over {"g", "h", "h^-1"} to the 4-dimensional basis."""
+    images = {}
     out = ALambdaElement.one(lam)
     for letter in word:
-        out = out * generator_image(lam, letter)
+        image = images.get(letter)
+        if image is None:
+            image = images[letter] = generator_image(lam, letter)
+        out = out * image
     return out
 
 
@@ -221,10 +256,17 @@ def _corner_basis(lam: Scalar, side: str, left: bool):
 def corner_data(lam: Scalar, side: str, left: bool = False) -> CornerData:
     """Corner of A_lambda at e1 (plus) or e2 (minus), with its radical line.
 
-    The nilpotent line r = b - (lambda/2) a is verified exactly: r^2 = 0
-    and r kills the corner basis from the side the corner lives on.
+    The idempotent pair is verified first.  The nilpotent line
+    r = b - (lambda/2) a is verified exactly: r^2 = 0 and r kills the corner
+    basis from the side the corner lives on.
     """
-    e1, e2 = idempotent_pair(lam)
+    return _corner_data(lam, side, left, idempotent_pair(lam))
+
+
+def _corner_data(lam: Scalar, side: str, left: bool, pair) -> CornerData:
+    # pair is idempotent_pair(lam), verified by the caller, so that a report
+    # or suite that reads several corners verifies it once
+    e1, e2 = pair
     e = e1 if side == "plus" else e2
     a, b = _corner_basis(lam, side, left)
     r = b - a.scale(lam * Fraction(1, 2))
@@ -417,7 +459,7 @@ def simple_modules(lam: Scalar) -> list[SimpleCandidate]:
 def alambda_report(lam: Scalar) -> dict:
     """Structured summary used by the CLI: products, idempotents, radicals,
     simple-module candidates with axiom/irreducibility flags."""
-    e1, e2 = idempotent_pair(lam)
+    pair = e1, e2 = idempotent_pair(lam)
     products = {}
     for i, x in enumerate(_BASIS_NAMES):
         for j, y in enumerate(_BASIS_NAMES):
@@ -427,7 +469,7 @@ def alambda_report(lam: Scalar) -> dict:
     corners = {}
     for side in ("plus", "minus"):
         for left in (False, True):
-            c = corner_data(lam, side, left)
+            c = _corner_data(lam, side, left, pair)
             key = f"{'left' if left else 'right'}_{side}"
             corners[key] = {
                 "idempotent": str(c.idempotent),

@@ -55,7 +55,7 @@ def reflection_table(twist: int, rep_sign: int) -> TableFunc:
 def closed_form_q(m: YDModule) -> list[list[Scalar]]:
     """The braiding matrix (q_ij) of a finite family, from its parameters."""
     if isinstance(m, HClassModule):
-        a, a_inv = m.a, m.a.inverse()
+        a, a_inv = m.a, m.a_inv
         return [[a, a_inv], [a_inv, a]]
     if isinstance(m, OneClassModule):
         return [[Scalar.one(m.order)] * m.dim for _ in range(m.dim)]

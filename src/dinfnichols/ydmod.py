@@ -49,7 +49,7 @@ SIGN = "sign"
 EPS = "eps"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisVector:
     """A named basis vector: x1/x2, a_m, b_n, or v1/v2."""
 
@@ -89,7 +89,7 @@ def B(n: int) -> BasisVector:
     return BasisVector("b", n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedVector:
     coeff: Scalar
     vec: BasisVector
@@ -105,7 +105,7 @@ class SignedVector:
 LinComb = tuple  # tuple of SignedVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidTerm:
     """c(v (x) w) = coeff * (left (x) right)."""
 
@@ -209,8 +209,8 @@ class FiniteClassModule(YDModule):
 class HClassModule(FiniteClassModule):
     """M over the class {h^n, h^-n}: basis x1 = 1 (x) x, x2 = g (x) x.
 
-    deg x1 = h^n, deg x2 = h^-n; h^n acts by a on x1 and a^-1 on x2;
-    g swaps x1 and x2.
+    deg x1 = h^n, deg x2 = h^-n; h^n acts by a on x1 and ``a_inv`` = a^-1
+    on x2; g swaps x1 and x2.
     """
 
     def __init__(self, n: int, a: Scalar):
@@ -220,8 +220,9 @@ class HClassModule(FiniteClassModule):
             raise ValueError("parameter a must be nonzero")
         self.n = n
         self.a = a
+        self.a_inv = a.inverse()
         zero, one = Scalar.zero(a.order), Scalar.one(a.order)
-        rep = FinRep(((zero, one), (one, zero)), ((a, zero), (zero, a.inverse())))
+        rep = FinRep(((zero, one), (one, zero)), ((a, zero), (zero, self.a_inv)))
         super().__init__(rep, (X1, X2), (GroupElement(0, n), GroupElement(0, -n)),
                          n, ConjClass(H_POWER, n))
 
@@ -349,37 +350,67 @@ def braid_word_at(m: YDModule, coeff: Scalar, word: tuple, i: int):
 def braid_equation_check(m: YDModule, triples: Iterable[tuple]) -> CheckResult:
     """(c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on the given triples.
 
-    Each label pair is braided once per call: c(v (x) w) comes from a dict,
-    local to the call, filled through ``m.braid``.  The first triple whose
-    sides differ is the witness, with each side's coefficient and word.
+    Within one call every label and every distinct coefficient gets a small
+    int code, each label pair is braided once through ``m.braid`` and kept
+    as (coefficient, left, right) codes, and each product of two coefficient
+    codes is computed once.  Both sides of a triple are composed and compared
+    as codes; equal codes are equal labels and equal scalars.  The first
+    triple whose sides differ is the witness, with each side's coefficient
+    and word rebuilt from the interned objects.
     """
-    one = Scalar.one(m.order)
-    braided = {}
+    labels, label_code = [], {}
+    coeffs, coeff_code = [], {}
+    braided = []          # braided[i][j]: codes of c(labels[i] (x) labels[j])
+    products = {}
 
-    def c(v, w):
-        t = braided.get((v, w))
-        if t is None:
-            t = braided[v, w] = m.braid(v, w)
+    def label(v):
+        k = label_code.get(v)
+        if k is None:
+            k = label_code[v] = len(labels)
+            labels.append(v)
+            braided.append({})
+        return k
+
+    def coeff(x):
+        k = coeff_code.get(x)
+        if k is None:
+            k = coeff_code[x] = len(coeffs)
+            coeffs.append(x)
+        return k
+
+    def c(i, j):
+        # called on a miss only; hits are read inline from braided[i]
+        b = m.braid(labels[i], labels[j])
+        t = braided[i][j] = (coeff(b.coeff), label(b.left), label(b.right))
         return t
+
+    def mul(a, b):
+        k = products.get((a, b))
+        if k is None:
+            k = products[a, b] = coeff(coeffs[a] * coeffs[b])
+        return k
+
+    def spelled(side):
+        # a side's codes back to its (coefficient, word) strings
+        k, *word = side
+        return str(coeffs[k]), tuple(str(labels[i]) for i in word)
 
     for triple in triples:
         if len(triple) != 3:
             raise ValueError(f"braid equation needs triples, got {triple!r}")
-        u, v, w = triple
+        u, v, w = map(label, triple)
         # slots 1, 2, 1
-        s = c(u, v)
-        t = c(s.right, w)
-        r = c(s.left, t.left)
-        lhs_c, lhs_w = one * s.coeff * t.coeff * r.coeff, (r.left, r.right, t.right)
+        sc, sl, sr = braided[u].get(v) or c(u, v)
+        tc, tl, tr = braided[sr].get(w) or c(sr, w)
+        rc, rl, rr = braided[sl].get(tl) or c(sl, tl)
+        lhs = (mul(mul(sc, tc), rc), rl, rr, tr)
         # slots 2, 1, 2
-        s = c(v, w)
-        t = c(u, s.left)
-        r = c(t.right, s.right)
-        rhs_c, rhs_w = one * s.coeff * t.coeff * r.coeff, (t.left, r.left, r.right)
-        if lhs_c != rhs_c or lhs_w != rhs_w:
-            witness = (triple, (str(lhs_c), tuple(map(str, lhs_w))),
-                       (str(rhs_c), tuple(map(str, rhs_w))))
-            return CheckResult(False, witness)
+        sc, sl, sr = braided[v].get(w) or c(v, w)
+        tc, tl, tr = braided[u].get(sl) or c(u, sl)
+        rc, rl, rr = braided[tr].get(sr) or c(tr, sr)
+        rhs = (mul(mul(sc, tc), rc), tl, rl, rr)
+        if lhs != rhs:
+            return CheckResult(False, (triple, spelled(lhs), spelled(rhs)))
     return CheckResult(True)
 
 

@@ -171,6 +171,15 @@ def test_verify_output_matches_pinned(capsys, order, optimized):
     assert out == pinned.read_text()
 
 
+@pytest.mark.parametrize("suite", ["braid", "alambda"])
+def test_verify_window8_suite_matches_pinned(capsys, suite):
+    # the window and seed the benchmark runs, byte for byte
+    pinned = Path(__file__).resolve().parent / "golden" / f"verify-{suite}-w8-s0-z12.txt"
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--window", "8", "--seed", "0")
+    assert code == 0
+    assert out == pinned.read_text()
+
+
 def test_classify_json_schema_and_formats(tmp_path, capsys):
     grid = {"n": [1], "a": ["1", "-1", "2"], "lambda": ["0", "2"]}
     grid_file = tmp_path / "grid.json"

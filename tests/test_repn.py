@@ -46,6 +46,64 @@ def test_multiply_examples():
         alambda_multiply(ALambdaElement.one(rat(0)), ALambdaElement.one(rat(2)))
 
 
+# The dense product loop alambda_multiply used to run, kept as its oracle:
+# every basis pair (i, j) and every output index k, with the structure
+# constants written out here as full coefficient 4-tuples.
+def _dense_structure_constants(lam):
+    one, zero = Scalar.one(lam.order), Scalar.zero(lam.order)
+
+    def v(c1=zero, cg=zero, ch=zero, cgh=zero):
+        return (c1, cg, ch, cgh)
+
+    e1, eg, eh, egh = v(one), v(cg=one), v(ch=one), v(cgh=one)
+    return {
+        (0, 0): e1, (0, 1): eg, (0, 2): eh, (0, 3): egh,
+        (1, 0): eg, (1, 1): e1, (1, 2): egh, (1, 3): eh,
+        (2, 0): eh, (2, 1): v(cg=lam, cgh=-one), (2, 2): v(-one, ch=lam), (2, 3): eg,
+        (3, 0): egh, (3, 1): v(lam, ch=-one), (3, 2): v(cg=-one, cgh=lam), (3, 3): e1,
+    }
+
+
+def _dense_multiply(x, y):
+    table = _dense_structure_constants(x.lam)
+    acc = [Scalar.zero(x.lam.order)] * 4
+    for i in range(4):
+        for j in range(4):
+            for k in range(4):
+                acc[k] = acc[k] + x.coeffs[i] * y.coeffs[j] * table[i, j][k]
+    return acc
+
+
+def _random_element(rng, lam):
+    coeffs = []
+    for _ in range(4):
+        kind = rng.randrange(3)
+        if kind == 0:
+            coeffs.append(0)
+        elif kind == 1:
+            coeffs.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        else:
+            coeffs.append(rat(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+                          * Scalar.zeta(ORDER, rng.randrange(ORDER)) + rng.randint(-2, 2))
+    return ALambdaElement(lam, coeffs)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS + [rat(1), rat(-1)], ids=str)
+def test_multiply_matches_dense_oracle(lam):
+    # lambda = +-1 makes the lambda constants units as well
+    names = ("1", "g", "h", "gh")
+    for x in names:
+        for y in names:
+            bx, by = basis(lam, x), basis(lam, y)
+            assert alambda_multiply(bx, by).coeffs == tuple(_dense_multiply(bx, by))
+    rng = random.Random(16180)
+    for _ in range(60):
+        x, y = _random_element(rng, lam), _random_element(rng, lam)
+        prod = alambda_multiply(x, y)
+        assert prod.coeffs == tuple(_dense_multiply(x, y))
+        assert prod.lam is lam and all(c.order == ORDER for c in prod.coeffs)
+
+
 def test_h_inverse_in_algebra():
     for lam in LAMBDAS:
         h = basis(lam, "h")
@@ -143,6 +201,25 @@ def test_corrupt_product_table_raises(monkeypatch):
         idempotent_pair(lam)
     with pytest.raises(ArithmeticError):
         corner_data(lam, "plus")
+
+
+def test_idempotent_pair_verified_once_per_lambda(monkeypatch):
+    from dinfnichols import verify
+
+    calls = []
+
+    def counting(lam):
+        calls.append(lam)
+        return idempotent_pair(lam)
+
+    monkeypatch.setattr(repn, "idempotent_pair", counting)
+    monkeypatch.setattr(verify, "idempotent_pair", counting)
+    repn.alambda_report(rat(2))
+    assert calls == [rat(2)]
+    calls.clear()
+    res = verify.alambda_suite(window=3, seed=0)
+    assert res.failed == 0
+    assert len(calls) == len(set(calls)) == 5
 
 
 def test_simple_modules_lambda_zero():

@@ -13,7 +13,7 @@ import pytest
 from dinfnichols.field import Scalar
 from dinfnichols.group import GroupElement, parse_element
 from dinfnichols.repn import simple_modules
-from dinfnichols.tables import braiding_table_check, canonicalize
+from dinfnichols.tables import braiding_table_check, canonicalize, closed_form_q
 from dinfnichols.ydmod import (
     A,
     B,
@@ -121,6 +121,21 @@ def test_h_class_action_table(n, a_str):
         assert (t.coeff, t.vec) == (coeff, vec), (str(x), str(v))
     # comodule: deg x1 = h^n, deg x2 = h^-n
     assert m.coact(X1) == hn and m.coact(X2) == hn.inverse()
+
+
+def test_closed_form_q_reads_the_stored_inverse(monkeypatch):
+    # the module computes a^-1 once; the closed form and the table check
+    # of a finite family reuse it
+    a = Scalar.zeta(ORDER)
+    m = HClassModule(1, a)
+    assert m.a_inv == a.inverse() and m.a * m.a_inv == Scalar.one(ORDER)
+
+    def no_inverse(self):
+        raise AssertionError("closed form recomputed an inverse")
+
+    monkeypatch.setattr(Scalar, "inverse", no_inverse)
+    assert closed_form_q(m) == [[a, m.a_inv], [m.a_inv, a]]
+    assert braiding_table_check(m, 1).ok
 
 
 def test_one_class_action_tables():

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,10 +15,12 @@ from dinfnichols.ydmod import (
     A,
     B,
     BasisVector,
+    BraidTerm,
     GClassModule,
     GhClassModule,
     HClassModule,
     OneClassModule,
+    SignedVector,
     V1,
     V2,
     X1,
@@ -61,6 +66,25 @@ def test_basis_vector_validation():
     with pytest.raises(ValueError):
         BasisVector("q", 1)
     assert str(A(3)) == "a3" and str(X1) == "x1"
+
+
+def test_braid_dataclasses_have_slots_and_round_trip():
+    one = Scalar.one(ORDER)
+    values = [A(3), B(2), X1, V2, SignedVector(-one, B(4)),
+              BraidTerm(Scalar.zeta(ORDER), A(0), B(1))]
+    for x in values:
+        assert not hasattr(x, "__dict__")
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+        for field in dataclasses.fields(x):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, field.name, getattr(x, field.name))
+    assert A(3) == BasisVector("a", 3) and A(3) != B(3)
+    assert len({A(3), BasisVector("a", 3), B(3)}) == 2
+    with pytest.raises(ValueError):
+        SignedVector(Scalar.zero(ORDER), A(1))
+    with pytest.raises(ValueError):
+        BasisVector("x1", 2)
 
 
 def test_act_examples():
@@ -293,6 +317,51 @@ def test_braid_equation_check_reports_word_level_witness():
     # the unperturbed module passes both
     assert _word_level_braid_check(GClassModule("sign"), triples) is None
     assert braid_equation_check(GClassModule("sign"), triples).ok
+
+
+class PerturbedBraid:
+    """``module`` with the braiding of one label pair replaced by
+    ``change`` of it; everything else is the module's own."""
+
+    def __init__(self, module, pair, change):
+        self.module, self.pair, self.change = module, pair, change
+        self.order = module.order
+
+    def basis_window(self, window):
+        return self.module.basis_window(window)
+
+    def braid(self, v, w):
+        t = self.module.braid(v, w)
+        return self.change(t) if (v, w) == self.pair else t
+
+
+Z = Scalar.zeta(ORDER)
+
+
+@pytest.mark.parametrize("m,braids", [
+    # a non-rational coefficient on a reflection family
+    (PerturbedBraid(GClassModule("sign"), (A(1), B(2)),
+                    lambda t: BraidTerm(t.coeff * Z, t.left, t.right)), False),
+    # a diagonal braiding satisfies the braid equation whatever its
+    # coefficients: both sides multiply the same three non-rational
+    # coefficients, in different orders
+    (PerturbedBraid(HClassModule(1, Z), (X1, X2),
+                    lambda t: BraidTerm(t.coeff * Z, t.left, t.right)), True),
+    # only a word label is wrong, the coefficient a^-1 = z^-1 is the true one
+    (PerturbedBraid(HClassModule(1, Z), (X1, X2),
+                    lambda t: BraidTerm(t.coeff, X1, t.right)), False),
+    (PerturbedBraid(GhClassModule("eps"), (B(2), A(1)),
+                    lambda t: BraidTerm(t.coeff, A(t.left.index + 1), t.right)), False),
+], ids=["g-class-z-coeff", "h-class-z-coeff", "h-class-label", "gh-class-label"])
+def test_braid_equation_check_agrees_with_word_level_oracle(m, braids):
+    triples = list(itertools.product(m.basis_window(3), repeat=3))
+    expected = _word_level_braid_check(m, triples)
+    check = braid_equation_check(m, triples)
+    assert check.ok is braids
+    assert check.witness == expected
+    if not braids and m.module.dim is not None:
+        # the h-class witness carries non-rational coefficients
+        assert "z" in check.witness[1][0] + check.witness[2][0]
 
 
 def test_braid_equation_check_braids_each_pair_once():
