@@ -26,11 +26,13 @@ from .repn import (
     alambda_multiply,
     corner_data,
     corner_power_identity,
+    corner_square_check,
     idempotent_pair,
     is_irreducible,
     module_axiom_check,
     rep_iso_check,
     simple_modules,
+    structure_check,
 )
 from .ydmod import (
     A,

@@ -307,6 +307,8 @@ class Scalar:
         # a rational value hashes like the int/Fraction it equals
         nums = self.nums
         if not any(nums[1:]):
+            if self.den == 1:
+                return hash(nums[0])
             return hash(Fraction(nums[0], self.den))
         return hash((self.order, nums, self.den))
 

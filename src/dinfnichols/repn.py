@@ -7,6 +7,11 @@ idempotent pair e1/e2, the nilpotent lines of the corners, the simple-module
 candidates for each lambda, and exact checkers for the dihedral module
 axioms, irreducibility (Burnside span) and isomorphism of small modules.
 
+Two finite checks prove the arithmetic for all inputs: ``structure_check``
+(unit, the 64 basis triples associate, the defining relations) makes
+``reduce_word`` right for every word, and ``corner_square_check`` (the
+squares of the corner basis) gives the corner power identity for every n.
+
 Every candidate module the corner analysis suggests is run through the
 axiom checker and returned flagged; nothing is assumed, nothing silently
 dropped.  (The 1-dimensional candidates with h acting by lambda/2 only
@@ -19,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iter_product
 from typing import TYPE_CHECKING, Optional, Union
 
 from . import linalg
@@ -195,7 +201,11 @@ def generator_image(lam: Scalar, letter: str) -> ALambdaElement:
 
 
 def reduce_word(lam: Scalar, word) -> ALambdaElement:
-    """Reduce a word over {"g", "h", "h^-1"} to the 4-dimensional basis."""
+    """Reduce a word over {"g", "h", "h^-1"} to the 4-dimensional basis.
+
+    The word is folded from the left; :func:`structure_check` proves that
+    this gives the word's element of A_lambda for every word.
+    """
     images = {}
     out = ALambdaElement.one(lam)
     for letter in word:
@@ -204,6 +214,54 @@ def reduce_word(lam: Scalar, word) -> ALambdaElement:
             image = images[letter] = generator_image(lam, letter)
         out = out * image
     return out
+
+
+def structure_check(lam: Scalar) -> CheckResult:
+    """Whether the product table of :func:`alambda_multiply` is A_lambda, so
+    that :func:`reduce_word` is right for every word.
+
+    ``alambda_multiply`` is bilinear by construction, so finite checks on the
+    basis (1, g, h, gh) decide it:
+
+    * b_0 = 1 is a two-sided unit, and the 64 basis triples associate.  Then
+      the table is an associative algebra with 1, and every bracketing of a
+      word, the left fold of ``reduce_word`` included, gives one element.
+    * g h = gh, g^2 = 1, (gh)^2 = 1 and h h^-1 = h^-1 h = 1 with
+      h^-1 = lambda - h.  Then g, h extend to a homomorphism from k D_inf
+      that sends h + h^-1 to lambda and reaches 1, g, h, gh: the table is a
+      4-dimensional quotient of A_lambda, which 1, g, h, gh span, hence
+      A_lambda itself.
+
+    The 16 basis products are formed once.  The witness names the first
+    failing unit, triple or relation.
+    """
+    b = [ALambdaElement.basis(lam, name) for name in _BASIS_NAMES]
+    prod = {(i, j): x * y for i, x in enumerate(b) for j, y in enumerate(b)}
+    for i, name in enumerate(_BASIS_NAMES):
+        if prod[0, i] != b[i] or prod[i, 0] != b[i]:
+            return CheckResult(False, f"1 is not a two-sided unit for {name}")
+    for i, j, k in iter_product(range(4), repeat=3):
+        left, right = prod[i, j] * b[k], b[i] * prod[j, k]
+        if left != right:
+            x, y, z = (_BASIS_NAMES[t] for t in (i, j, k))
+            return CheckResult(False, f"({x}*{y})*{z} = {left} but {x}*({y}*{z}) = {right}")
+    one, _, h, gh = b
+    hinv = generator_image(lam, "h^-1")
+    return _identities_check((
+        ("g h = gh", prod[1, 2], gh),
+        ("g^2 = 1", prod[1, 1], one),
+        ("(gh)^2 = 1", prod[3, 3], one),
+        ("h h^-1 = 1", h * hinv, one),
+        ("h^-1 h = 1", hinv * h, one),
+    ))
+
+
+def _identities_check(identities, prefix: str = "") -> CheckResult:
+    # (name, value, expected) triples; the first one that fails is the witness
+    for name, value, expected in identities:
+        if value != expected:
+            return CheckResult(False, f"{prefix}{name} fails: the left side is {value}")
+    return CheckResult(True)
 
 
 # -- idempotents, corners, radicals ------------------------------------------
@@ -282,7 +340,9 @@ def _corner_data(lam: Scalar, side: str, left: bool, pair) -> CornerData:
 def corner_power_identity(x1: Scalar, x2: Scalar, lam: Scalar, n: int,
                           side: str = "plus") -> bool:
     """Whether (x1*a + x2*b)^n = (2 x1 + lambda x2)^(n-1) (x1*a + x2*b)
-    holds in the right corner, evaluated by repeated multiplication."""
+    holds in the right corner, evaluated by repeated multiplication (the
+    sampled oracle of :func:`corner_square_check`, which proves it for all
+    x1, x2 and n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     a, b = _corner_basis(lam, side, left=False)
@@ -291,6 +351,25 @@ def corner_power_identity(x1: Scalar, x2: Scalar, lam: Scalar, n: int,
     factor = (x1 + x1 + lam * x2) ** (n - 1)
     rhs = elt.scale(factor)
     return lhs == rhs
+
+
+def corner_square_check(lam: Scalar, side: str) -> CheckResult:
+    """Whether a^2 = 2a, ab + ba = 2b + lambda a and b^2 = lambda b hold on the
+    right corner basis (a, b) of ``side``.
+
+    For e = x1 a + x2 b, bilinearity gives
+    e^2 = x1^2 a^2 + x1 x2 (ab + ba) + x2^2 b^2, so the three identities hold
+    exactly when e^2 = c e with c = 2 x1 + lambda x2, for all x1, x2.  Then
+    e^n = e^(n-1) e = c^(n-2) e^2 = c^(n-1) e by induction on n >= 2: the
+    identity of :func:`corner_power_identity` for every n (n = 1 needs only
+    the unit that :func:`structure_check` proves).
+    """
+    a, b = _corner_basis(lam, side, left=False)
+    return _identities_check((
+        ("a^2 = 2a", a * a, a.scale(2)),
+        ("ab + ba = 2b + lambda a", a * b + b * a, b.scale(2) + a.scale(lam)),
+        ("b^2 = lambda b", b * b, b.scale(lam)),
+    ), prefix=f"{side} corner: ")
 
 
 # -- finite-dimensional dihedral representations ------------------------------

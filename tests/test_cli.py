@@ -151,16 +151,18 @@ def test_classify_default_report_matches_golden(capsys):
     assert out == golden.read_text()
 
 
-@pytest.mark.parametrize("order,optimized", [
-    pytest.param("12", False, id="12"),
-    pytest.param("5", False, id="5"),
-    pytest.param("12", True, id="12-O"),
+@pytest.mark.parametrize("order,optimized,seed", [
+    pytest.param("12", False, "0", id="12"),
+    pytest.param("5", False, "0", id="5"),
+    pytest.param("12", True, "0", id="12-O"),
+    pytest.param("12", False, "3", id="12-seed3"),
 ])
-def test_verify_output_matches_pinned(capsys, order, optimized):
+def test_verify_output_matches_pinned(capsys, order, optimized, seed):
     # every check line of the four suites, byte for byte; under python -O
-    # too, so that no reported check can hide in an assert
+    # too, so that no reported check can hide in an assert; no suite
+    # samples, so another seed prints the same bytes
     pinned = Path(__file__).resolve().parent / "golden" / f"verify-w3-s0-z{order}.txt"
-    argv = ["verify", "--suite", "all", "--window", "3", "--seed", "0"]
+    argv = ["verify", "--suite", "all", "--window", "3", "--seed", seed]
     if optimized:
         r = subprocess.run([sys.executable, "-O", "-B", "-m", "dinfnichols.cli", *argv],
                            capture_output=True, text=True)
@@ -178,6 +180,25 @@ def test_verify_window8_suite_matches_pinned(capsys, suite):
     code, out = run_cli(capsys, "verify", "--suite", suite, "--window", "8", "--seed", "0")
     assert code == 0
     assert out == pinned.read_text()
+
+
+def test_verify_corrupt_table_fails_without_traceback(capsys, monkeypatch):
+    # g*g = g makes the idempotent verification raise inside the suite
+    from dinfnichols import repn
+
+    real = repn._basis_product_table
+
+    def corrupted(lam):
+        table = dict(real(lam))
+        table[1, 1] = ((1, None, False),)
+        return table
+
+    monkeypatch.setattr(repn, "_basis_product_table", corrupted)
+    code, out = run_cli(capsys, "verify", "--suite", "alambda", "--window", "3")
+    lines = out.splitlines()
+    assert code == 1
+    assert len(lines) == 34 and lines[-1] == "8/33 checks passed"
+    assert sum(line.startswith("[FAIL] ") for line in lines) == 25
 
 
 def test_classify_json_schema_and_formats(tmp_path, capsys):

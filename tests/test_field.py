@@ -311,9 +311,15 @@ def test_same_value_by_every_route_is_identical():
 
 
 def test_hash_of_rational_matches_fraction():
-    for q in (1, -2, Fraction(1, 2), 0, Fraction(-7, 3)):
+    # integers hash without a Fraction; -1 hashes to -2 like the int
+    for q in [Fraction(n, d) for n in range(-50, 51) for d in (1, 2, 3, 7)]:
         s = Scalar.from_rational(q)
         assert s == q and hash(s) == hash(q) == hash(Fraction(q))
+        if q.denominator == 1:
+            assert hash(s) == hash(int(q))
+    assert hash(Scalar.from_rational(-1)) == hash(-1) == -2
+    keyed = {Scalar.from_rational(n): n for n in range(-50, 51)}
+    assert all(keyed[n] == n for n in range(-50, 51))
     assert hash(Scalar.one()) == hash(1)
     assert hash(Scalar.from_rational(-2)) == hash(-2)
     assert hash(rat("1/2")) == hash(Fraction(1, 2))

@@ -13,12 +13,14 @@ from dinfnichols.repn import (
     alambda_multiply,
     corner_data,
     corner_power_identity,
+    corner_square_check,
     idempotent_pair,
     is_irreducible,
     module_axiom_check,
     reduce_word,
     rep_iso_check,
     simple_modules,
+    structure_check,
 )
 
 ORDER = 12
@@ -203,6 +205,64 @@ def test_corrupt_product_table_raises(monkeypatch):
         corner_data(lam, "plus")
 
 
+@pytest.mark.parametrize("lam", LAMBDAS + [rat(1), rat(-1), rat(3)], ids=str)
+def test_structure_and_corner_square_checks_pass(lam):
+    assert structure_check(lam).ok
+    assert corner_square_check(lam, "plus").ok and corner_square_check(lam, "minus").ok
+
+
+def _corrupt_table(monkeypatch, ij, terms):
+    # b_i * b_j replaced by ``terms`` in the table of every lambda
+    real = repn._basis_product_table
+
+    def corrupted(lam):
+        table = dict(real(lam))
+        table[ij] = terms
+        return table
+
+    monkeypatch.setattr(repn, "_basis_product_table", corrupted)
+
+
+GH_GH_MINUS_ONE = ((3, 3), ((0, None, True),))
+G_G_IS_G = ((1, 1), ((1, None, False),))
+
+
+@pytest.mark.parametrize("lam", LAMBDAS, ids=str)
+def test_structure_check_catches_gh_squared_minus_one(monkeypatch, lam):
+    _corrupt_table(monkeypatch, *GH_GH_MINUS_ONE)
+    res = structure_check(lam)
+    assert not res.ok and res.witness
+
+
+@pytest.mark.parametrize("corruption", [GH_GH_MINUS_ONE, G_G_IS_G], ids=["gh*gh=-1", "g*g=g"])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_corner_square_check_catches_corrupt_product(monkeypatch, corruption, side):
+    _corrupt_table(monkeypatch, *corruption)
+    for lam in LAMBDAS:
+        res = corner_square_check(lam, side)
+        assert not res.ok and res.witness.startswith(f"{side} corner: ")
+
+
+def test_alambda_suite_reports_corrupt_table(monkeypatch):
+    # g*g = g makes the idempotent pair raise; the suite records FAIL lines
+    # for it and for the radical lines instead of raising
+    from dinfnichols import verify
+
+    _corrupt_table(monkeypatch, *G_G_IS_G)
+    res = verify.alambda_suite()
+    assert len(res.lines) == 33
+    for lam in ("0", "2", "-2", "3/2", "z^2-1"):
+        for check in ("word reduction closed and associative", "idempotents verified",
+                      "corner power identity"):
+            assert any(line.startswith(f"[FAIL] {check}: lambda={lam}  ")
+                       for line in res.lines), (check, lam)
+        for side in ("plus", "minus"):
+            assert f"[FAIL] radical line squares to zero: lambda={lam} {side}  " \
+                   "idempotent pair not verified" in res.lines
+    assert "[FAIL] idempotents verified: lambda=2  idempotent relation failed" in res.lines
+    assert res.failed == 25
+
+
 def test_idempotent_pair_verified_once_per_lambda(monkeypatch):
     from dinfnichols import verify
 
@@ -217,7 +277,7 @@ def test_idempotent_pair_verified_once_per_lambda(monkeypatch):
     repn.alambda_report(rat(2))
     assert calls == [rat(2)]
     calls.clear()
-    res = verify.alambda_suite(window=3, seed=0)
+    res = verify.alambda_suite(window=3)
     assert res.failed == 0
     assert len(calls) == len(set(calls)) == 5
 
