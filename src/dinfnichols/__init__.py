@@ -52,6 +52,7 @@ from .ydmod import (
     braid_equation_check,
     diagonal_type,
     h_class,
+    reflection_braid_check,
     yd_compat_check,
 )
 from .tables import braiding_table_check

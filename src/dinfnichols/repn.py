@@ -399,8 +399,8 @@ class FinRep:
 @dataclass(frozen=True)
 class CheckResult:
     """Verdict of a check; ``witness`` describes the first failure found:
-    a message (module axioms), a braid-equation triple with both sides
-    (``ydmod``) or a :class:`tables.TableWitness`."""
+    a message (module axioms), a braid-equation triple or label pair with
+    both sides (``ydmod``) or a :class:`tables.TableWitness`."""
 
     ok: bool
     witness: Optional[Union[str, tuple, TableWitness]] = None

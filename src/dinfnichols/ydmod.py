@@ -24,6 +24,9 @@ and differ only in their matrices, degrees and step.
 The braiding is always c(v (x) w) = deg(v).w (x) v, computed from the
 coaction followed by the action; the closed-form tables live in
 ``tables.py`` and are checked against this composition, never trusted.
+On the coset basis that braiding is affine in the indices, which lets
+:func:`reflection_braid_check` prove the braid equation of both reflection
+families for all indices.
 
 Everything here is immutable and pure.
 """
@@ -411,6 +414,69 @@ def braid_equation_check(m: YDModule, triples: Iterable[tuple]) -> CheckResult:
         rhs = (mul(mul(sc, tc), rc), tl, rl, rr)
         if lhs != rhs:
             return CheckResult(False, (triple, spelled(lhs), spelled(rhs)))
+    return CheckResult(True)
+
+
+# c(u_j (x) u_k) = rho * u_{2j-k} (x) u_j on the coset basis, as the affine
+# forms (a, b, c) = a*j + b*k + c of the two output indices
+REFLECTION_BRAID = ((2, -1, 0), (1, 0, 0))
+
+
+def _affine_braid_sides(braid) -> tuple:
+    """Both sides of the braid equation, slots 1, 2, 1 and 2, 1, 2, for the
+    affine braiding ``braid`` on the generic word u_i (x) u_j (x) u_k.
+
+    Each slot index is kept as an integer row over (i, j, k, 1), so equal
+    sides are an identity in i, j and k, not a sample of them.  Every braid
+    contributes the one factor rho whatever the indices, so both sides
+    carry rho^3 and only the rows are returned.
+    """
+    def compose(slots):
+        rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+        for s in slots:
+            cols = list(zip(rows[s - 1], rows[s], (0, 0, 0, 1)))
+            new = tuple(tuple(a * x + b * y + c * z for x, y, z in cols)
+                        for a, b, c in braid)
+            rows = rows[:s - 1] + new + rows[s + 1:]
+        return rows
+
+    return compose((1, 2, 1)), compose((2, 1, 2))
+
+
+def reflection_braid_check(m: ReflectionClassModule, window: int) -> CheckResult:
+    """The braid equation of a g-class or gh-class module, for all indices.
+
+    coact(u_j) = g h^(t-2j) sends u_k to rho * u_(t-(k+t-2j)), so both
+    families braid as c(u_j (x) u_k) = rho * u_(2j-k) (x) u_j on the coset
+    basis: the twist t cancels.  The check has two parts:
+
+    1. on every pair (v, w) of window labels, with v = s_v u_j and
+       w = s_w u_k, ``m.braid(v, w)`` is (s_w rho) * label(u_(2j-k)) (x) v.
+       Each pair is braided once; the gh-class alias b_1 = rho * a_0 is
+       one of the pairs' labels.
+    2. composed symbolically over (i, j, k, 1), that affine braiding gives
+       rho^3 * u_(2i-2j+k) (x) u_(2i-j) (x) u_i on both sides of the braid
+       equation, for every index triple.
+
+    The witness is the first pair of part 1 that differs, as
+    ((v, w), braided, expected), or the two composed sides of part 2.
+    Finite families are rejected: ``braid_equation_check`` over their
+    basis triples is already complete for them.
+    """
+    if not isinstance(m, ReflectionClassModule):
+        raise ValueError(f"{m!r} is not a reflection-class module")
+    labels = [(v, *m._to_internal(v)) for v in m.basis_window(window)]
+    targets = [(w, scale * m.rho, k) for w, scale, k in labels]
+    for v, _, j in labels:
+        for w, coeff, k in targets:
+            sv = m._from_internal(coeff, 2 * j - k)
+            expected = BraidTerm(sv.coeff, sv.vec, v)
+            t = m.braid(v, w)
+            if t != expected:
+                return CheckResult(False, ((v, w), str(t), str(expected)))
+    lhs, rhs = _affine_braid_sides(REFLECTION_BRAID)
+    if lhs != rhs:
+        return CheckResult(False, (lhs, rhs))
     return CheckResult(True)
 
 

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,14 +22,18 @@ from dinfnichols.ydmod import (
     GhClassModule,
     HClassModule,
     OneClassModule,
+    REFLECTION_BRAID,
+    ReflectionClassModule,
     SignedVector,
     V1,
     V2,
     X1,
     X2,
+    _affine_braid_sides,
     braid_equation_check,
     braid_word_at,
     diagonal_type,
+    reflection_braid_check,
     yd_compat_check,
 )
 
@@ -376,6 +382,128 @@ def test_braid_equation_check_rejects_non_triples():
         braid_equation_check(m, [(A(0), A(1), B(1), A(2))])
     with pytest.raises(ValueError):
         braid_equation_check(m, [(A(0), A(1))])
+
+
+def _reflection_modules(order=ORDER):
+    return [cls(rep, order) for cls in (GClassModule, GhClassModule)
+            for rep in ("sign", "eps")]
+
+
+def _perturbed(cls, pair, change):
+    """A subclass of ``cls`` whose braiding of ``pair`` is ``change`` of
+    the true one."""
+
+    class Perturbed(cls):
+        def braid(self, v, w):
+            t = super().braid(v, w)
+            return change(t) if (v, w) == pair else t
+
+    return Perturbed
+
+
+def _negated(t):
+    return BraidTerm(-t.coeff, t.left, t.right)
+
+
+@pytest.mark.parametrize("order", [5, 7, 12])
+def test_reflection_braid_check_passes(order):
+    for m in _reflection_modules(order):
+        for window in range(1, 9):
+            check = reflection_braid_check(m, window)
+            assert check.ok, (m, window, check.witness)
+
+
+# (module, the one label pair whose braiding it changes)
+PERTURBED = [
+    (SkewedGClass("sign"), (A(1), B(2))),
+    (_perturbed(GhClassModule, (B(1), A(0)), _negated)("sign"), (B(1), A(0))),
+    (_perturbed(GhClassModule, (B(1), A(0)), _negated)("eps"), (B(1), A(0))),
+    (_perturbed(GClassModule, (A(2), B(1)),
+                lambda t: BraidTerm(t.coeff, A(t.left.index + 1), t.right))("eps"),
+     (A(2), B(1))),
+]
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
+def test_reflection_braid_check_agrees_with_triple_kernel(window):
+    # the perturbed modules count from the first window holding their pair:
+    # below it the check compares no perturbed braiding
+    cases = _reflection_modules()
+    cases += [m for m, pair in PERTURBED if max(v.index for v in pair) <= window]
+    for m in cases:
+        proof = reflection_braid_check(m, window)
+        kernel = braid_equation_check(m, itertools.product(m.basis_window(window), repeat=3))
+        assert proof.ok is kernel.ok, (m, window)
+
+
+@pytest.mark.parametrize("m,pair", PERTURBED)
+def test_reflection_braid_check_witness_names_perturbed_pair(m, pair):
+    check = reflection_braid_check(m, 4)
+    assert not check.ok
+    found, braided, expected = check.witness
+    assert found == pair
+    assert braided == str(m.braid(*pair)) and braided != expected
+
+
+def test_affine_braid_sides_accept_reflection_map_only():
+    # both sides are rho^3 * u_(2i-2j+k) (x) u_(2i-j) (x) u_i
+    rows = ((2, -2, 1, 0), (2, -1, 0, 0), (1, 0, 0, 0))
+    assert _affine_braid_sides(REFLECTION_BRAID) == (rows, rows)
+    # (j, k) -> (j + k, j): first slots 2i+j+k against i+j+k
+    lhs, rhs = _affine_braid_sides(((1, 1, 0), (1, 0, 0)))
+    assert lhs == ((2, 1, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0))
+    assert rhs == ((1, 1, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0))
+    # a constant shift c breaks it too: the first slots differ by 2c
+    lhs, rhs = _affine_braid_sides(((2, -1, 1), (1, 0, 0)))
+    assert lhs[0][3] - rhs[0][3] == 2 and lhs[1:] == rhs[1:]
+
+
+@pytest.mark.parametrize("window", [1, 3, 8])
+def test_reflection_braid_check_braids_each_window_pair_once(window):
+    m = CountingGhClass("eps")
+    assert reflection_braid_check(m, window).ok
+    assert len(m.braided) == (2 * window + 1) ** 2
+    assert set(m.braided) == set(itertools.product(m.basis_window(window), repeat=2))
+
+
+def test_reflection_braid_check_catches_corrupt_action(monkeypatch):
+    # rho dropped on b-labels: a no-op for eps (rho = 1), wrong for sign
+    true_act = ReflectionClassModule.act
+
+    def corrupted(self, x, v):
+        (t,) = true_act(self, x, v)
+        if v.kind == "b":
+            t = SignedVector(t.coeff * self.rho, t.vec)
+        return (t,)
+
+    monkeypatch.setattr(ReflectionClassModule, "act", corrupted)
+    for m in _reflection_modules():
+        check = reflection_braid_check(m, 8)
+        assert check.ok is (m.rep == "eps")
+        if not check.ok:
+            assert check.witness[0][1].kind == "b"
+
+
+def test_reflection_braid_check_rejects_finite_modules():
+    with pytest.raises(ValueError):
+        reflection_braid_check(HClassModule(1, rat(2)), 3)
+
+
+def test_reflection_braid_check_reports_under_optimize():
+    # the check reports through its result, never an assert: python -O
+    # must still see the failure
+    script = (
+        "from dinfnichols.ydmod import A, B, BraidTerm, GhClassModule, reflection_braid_check\n"
+        "class Skewed(GhClassModule):\n"
+        "    def braid(self, v, w):\n"
+        "        t = super().braid(v, w)\n"
+        "        return BraidTerm(-t.coeff, t.left, t.right) if (v, w) == (B(1), A(0)) else t\n"
+        "print(reflection_braid_check(GhClassModule('sign'), 8).ok,\n"
+        "      reflection_braid_check(Skewed('sign'), 8).witness[0] == (B(1), A(0)))\n")
+    r = subprocess.run([sys.executable, "-O", "-B", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "True True\n"
 
 
 def test_coaction_covers_support():
