@@ -15,7 +15,14 @@ from typing import Iterator
 
 @dataclass(frozen=True)
 class GroupElement:
-    """g^reflection * h^exponent, with reflection in {0, 1}."""
+    """g^reflection * h^exponent, with reflection in {0, 1}.
+
+    The slots are declared by hand rather than with ``slots=True``, so that
+    assigning any name raises ``FrozenInstanceError``; ``__reduce__`` lets
+    copy and pickle rebuild the value through the validating constructor.
+    """
+
+    __slots__ = ("reflection", "exponent")
 
     reflection: int
     exponent: int
@@ -23,6 +30,9 @@ class GroupElement:
     def __post_init__(self):
         if self.reflection not in (0, 1):
             raise ValueError("reflection bit must be 0 or 1")
+
+    def __reduce__(self):
+        return type(self), (self.reflection, self.exponent)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         # (g^e h^m)(g^d h^n) = g^(e xor d) h^((-1)^d m + n)

@@ -21,7 +21,7 @@ from .field import Scalar
 from .repn import CheckResult
 from .ydmod import (
     A,
-    EPS,
+    B,
     BasisVector,
     BraidTerm,
     HClassModule,
@@ -65,16 +65,14 @@ def closed_form_q(m: YDModule) -> list[list[Scalar]]:
 def canonicalize(m: ReflectionClassModule, raw: RawEntry):
     """Resolve boundary aliases to the module's canonical labels."""
     sign, kind, index = raw
-    coeff = Scalar.one(m.order) if sign > 0 else -Scalar.one(m.order)
     if kind == "a":
         if index < 0:
             raise ValueError(f"table produced invalid label a_{index}")
-        return coeff, A(index)
+        return m.signs[sign], A(index)
     # b_k = rho * u_{twist - k}; canonical form uses a-labels for k <= twist
     if index > m.twist:
-        return coeff, BasisVector("b", index)
-    internal = m.twist - index
-    return coeff * m.rho, A(internal)
+        return m.signs[sign], B(index)
+    return m.signs[sign * m.rho_sign], A(m.twist - index)
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def braiding_table_check(m: YDModule, window: int) -> CheckResult:
     if window < 1:
         raise ValueError("window must be >= 1")
     if isinstance(m, ReflectionClassModule):
-        table = reflection_table(m.twist, 1 if m.rep == EPS else -1)
+        table = reflection_table(m.twist, m.rho_sign)
 
         def expected(v, w):
             return canonicalize(m, table(v, w))

@@ -28,7 +28,19 @@ On the coset basis that braiding is affine in the indices, which lets
 :func:`reflection_braid_check` prove the braid equation of both reflection
 families for all indices.
 
-Everything here is immutable and pure.
+Each braiding is cheap to compute:
+
+* labels are interned: ``A(m)`` and ``B(n)`` return one validated object
+  per label (a direct ``BasisVector(...)`` still validates and compares
+  equal to it);
+* the reflection action runs on the pair (sign bit s, coset index k) of
+  rho^s * u_k and reads its coefficient from the module's two units
+  (1, rho), so it multiplies no scalars;
+* a finite module builds the action of each group element it is asked
+  for once, as the columns of one matrix product, and keeps it.
+
+Everything here is immutable and pure; a finite module's built actions are
+fixed by its matrices and live as long as the module.
 """
 
 from __future__ import annotations
@@ -45,19 +57,27 @@ from .group import (
     ODD_REFLECTIONS,
     ONE,
 )
-from .linalg import mat_mul
+from .linalg import identity, mat_mul
 from .repn import CheckResult, FinRep, module_axiom_check
 
 SIGN = "sign"
 EPS = "eps"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BasisVector:
-    """A named basis vector: x1/x2, a_m, b_n, or v1/v2."""
+    """A named basis vector: x1/x2, a_m, b_n, or v1/v2.
+
+    The value classes of this module declare their slots by hand rather
+    than with ``slots=True``, so that assigning any name raises
+    ``FrozenInstanceError``; ``__reduce__`` lets copy and pickle rebuild a
+    value through its validating constructor.
+    """
+
+    __slots__ = ("kind", "index")
 
     kind: str          # "x1", "x2", "a", "b", "v1", "v2"
-    index: int = 0
+    index: int         # 0 for x1, x2, v1, v2
 
     def __post_init__(self):
         if self.kind in ("x1", "x2", "v1", "v2"):
@@ -72,34 +92,53 @@ class BasisVector:
         else:
             raise ValueError(f"unknown basis vector kind {self.kind!r}")
 
+    def __reduce__(self):
+        return type(self), (self.kind, self.index)
+
     def __str__(self):
         if self.kind in ("a", "b"):
             return f"{self.kind}{self.index}"
         return self.kind
 
 
-X1 = BasisVector("x1")
-X2 = BasisVector("x2")
-V1 = BasisVector("v1")
-V2 = BasisVector("v2")
+X1 = BasisVector("x1", 0)
+X2 = BasisVector("x2", 0)
+V1 = BasisVector("v1", 0)
+V2 = BasisVector("v2", 0)
+
+# The a- and b-labels asked for so far, one validated object each; a label
+# that fails validation raises before it is stored.
+_A_LABELS: dict[int, BasisVector] = {}
+_B_LABELS: dict[int, BasisVector] = {}
 
 
 def A(m: int) -> BasisVector:
-    return BasisVector("a", m)
+    v = _A_LABELS.get(m)
+    if v is None:
+        v = _A_LABELS[m] = BasisVector("a", m)
+    return v
 
 
 def B(n: int) -> BasisVector:
-    return BasisVector("b", n)
+    v = _B_LABELS.get(n)
+    if v is None:
+        v = _B_LABELS[n] = BasisVector("b", n)
+    return v
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SignedVector:
+    __slots__ = ("coeff", "vec")
+
     coeff: Scalar
     vec: BasisVector
 
     def __post_init__(self):
         if self.coeff.is_zero():
             raise ValueError("SignedVector coefficient must be nonzero")
+
+    def __reduce__(self):
+        return type(self), (self.coeff, self.vec)
 
     def __str__(self):
         return f"({self.coeff})*{self.vec}"
@@ -108,13 +147,18 @@ class SignedVector:
 LinComb = tuple  # tuple of SignedVector
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BraidTerm:
     """c(v (x) w) = coeff * (left (x) right)."""
+
+    __slots__ = ("coeff", "left", "right")
 
     coeff: Scalar
     left: BasisVector
     right: BasisVector
+
+    def __reduce__(self):
+        return type(self), (self.coeff, self.left, self.right)
 
     def __str__(self):
         return f"({self.coeff})*{self.left}(x){self.right}"
@@ -163,7 +207,8 @@ class FiniteClassModule(YDModule):
     ``rep.G`` and ``rep.H`` give g and h^step on ``basis``, whose vectors
     have the given ``degrees``.  x = g^e h^m acts only when step | m:
     h^step acts q = m/step times, as G H^|q| G when q < 0 (g h g = h^-1),
-    and then g if e = 1.
+    and then g if e = 1.  The action of each (e, q) is built on its first
+    use and kept with the module, which answers later calls from it.
     """
 
     def __init__(self, rep: FinRep, basis, degrees, step: int,
@@ -174,6 +219,7 @@ class FiniteClassModule(YDModule):
         self.support = support
         self.order = rep.order
         self.dim = rep.dim
+        self._actions = {}      # (e, q) -> {v: terms of g^e h^(step q).v}
 
     def contains(self, v):
         return v in self._degrees
@@ -188,21 +234,31 @@ class FiniteClassModule(YDModule):
             raise ValueError(
                 f"h^{x.exponent} does not act on the h^{self.step}-class module: "
                 f"the action is defined on the subgroup <g, h^{self.step}>")
+        key = (x.reflection, q)
+        action = self._actions.get(key)
+        if action is None:
+            action = self._actions[key] = self._build_action(*key)
+        out = action[v]
+        if not out:
+            raise ValueError("group action produced zero; rep is corrupt")
+        return out
+
+    def _build_action(self, e: int, q: int) -> dict:
+        """The terms of g^e h^(step q) on every basis vector: the columns
+        of the matrix product."""
         G, H = self.rep.G, self.rep.H
         mats = [H] * abs(q)
         if q < 0:
             mats = [G] + mats + [G]
-        if x.reflection:
+        if e:
             mats.append(G)
-        zero, one = Scalar.zero(self.order), Scalar.one(self.order)
-        col = [[one if w == v else zero] for w in self._degrees]
+        basis = list(self._degrees)
+        product = identity(self.dim, self.order)
         for mat in mats:
-            col = mat_mul(mat, col)
-        out = tuple(SignedVector(c, w) for (c,), w in zip(col, self._degrees)
-                    if not c.is_zero())
-        if not out:
-            raise ValueError("group action produced zero; rep is corrupt")
-        return out
+            product = mat_mul(mat, product)
+        return {v: tuple(SignedVector(row[j], w) for row, w in zip(product, basis)
+                         if not row[j].is_zero())
+                for j, v in enumerate(basis)}
 
     def coact(self, v):
         self._require(v)
@@ -240,6 +296,10 @@ class ReflectionClassModule(YDModule):
     g.u_k = rho * u_{t-k}, where t = 0 for the g-class and t = 1 for the
     gh-class, and rho = +-1 is the centralizer character value.  Degrees
     are g h^{-2k} resp. g h^{1-2k}.
+
+    A signed label is kept internally as rho^s * u_k, the pair (s, k) of a
+    sign bit and a coset index; rho^2 = 1, so the action flips s and the
+    coefficient is read from the two units (1, rho).
     """
 
     twist: int
@@ -249,7 +309,11 @@ class ReflectionClassModule(YDModule):
             raise ValueError("rep must be 'sign' or 'eps'")
         self.rep = rep
         self.order = order
-        self.rho = Scalar.one(order) if rep == EPS else -Scalar.one(order)
+        one = Scalar.one(order)
+        self.rho_sign = 1 if rep == EPS else -1
+        self.signs = {1: one, -1: -one}     # the scalars +1 and -1, by int sign
+        self.rho = self.signs[self.rho_sign]
+        self._units = (one, self.rho)       # rho^s, by sign bit s
         self.dim = None
 
     def __repr__(self):
@@ -264,26 +328,26 @@ class ReflectionClassModule(YDModule):
     def basis(self):
         raise ValueError(f"{self!r} is infinite dimensional; use basis_window")
 
-    # label <-> internal coset index
+    # label <-> internal (s, k): the label is rho^s * u_k
 
-    def _to_internal(self, v: BasisVector) -> tuple[Scalar, int]:
+    def _to_internal(self, v: BasisVector) -> tuple[int, int]:
         if v.kind == "a":
-            return Scalar.one(self.order), v.index
-        return self.rho, self.twist - v.index
+            return 0, v.index
+        return 1, self.twist - v.index
 
-    def _from_internal(self, coeff: Scalar, k: int) -> SignedVector:
+    def _from_internal(self, s: int, k: int) -> SignedVector:
         if k >= 0:
-            return SignedVector(coeff, A(k))
-        return SignedVector(coeff * self.rho, B(self.twist - k))
+            return SignedVector(self._units[s], A(k))
+        return SignedVector(self._units[s ^ 1], B(self.twist - k))
 
     def act(self, x, v):
         self._require(v)
-        coeff, k = self._to_internal(v)
+        s, k = self._to_internal(v)
         k += x.exponent
         if x.reflection:
-            coeff = coeff * self.rho
+            s ^= 1
             k = self.twist - k
-        return (self._from_internal(coeff, k),)
+        return (self._from_internal(s, k),)
 
     def coact(self, v):
         self._require(v)
@@ -466,10 +530,10 @@ def reflection_braid_check(m: ReflectionClassModule, window: int) -> CheckResult
     if not isinstance(m, ReflectionClassModule):
         raise ValueError(f"{m!r} is not a reflection-class module")
     labels = [(v, *m._to_internal(v)) for v in m.basis_window(window)]
-    targets = [(w, scale * m.rho, k) for w, scale, k in labels]
+    targets = [(w, s ^ 1, k) for w, s, k in labels]     # the sign bit of s_w rho
     for v, _, j in labels:
-        for w, coeff, k in targets:
-            sv = m._from_internal(coeff, 2 * j - k)
+        for w, s, k in targets:
+            sv = m._from_internal(s, 2 * j - k)
             expected = BraidTerm(sv.coeff, sv.vec, v)
             t = m.braid(v, w)
             if t != expected:

@@ -173,7 +173,7 @@ def test_verify_output_matches_pinned(capsys, order, optimized, seed):
     assert out == pinned.read_text()
 
 
-@pytest.mark.parametrize("suite", ["braid", "alambda"])
+@pytest.mark.parametrize("suite", ["braid", "yd", "tables", "alambda"])
 def test_verify_window8_suite_matches_pinned(capsys, suite):
     # the window and seed the benchmark runs, byte for byte
     pinned = Path(__file__).resolve().parent / "golden" / f"verify-{suite}-w8-s0-z12.txt"

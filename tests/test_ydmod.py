@@ -10,9 +10,11 @@ import pytest
 
 from dinfnichols.field import Scalar
 from dinfnichols.group import GroupElement, conj_class_of
+from dinfnichols.linalg import identity, mat_mul
 from dinfnichols.repn import simple_modules
 from dinfnichols import tables
 from dinfnichols.tables import braiding_table_check
+from dinfnichols.verify import _sample_modules
 from dinfnichols.ydmod import (
     A,
     B,
@@ -77,7 +79,7 @@ def test_basis_vector_validation():
 def test_braid_dataclasses_have_slots_and_round_trip():
     one = Scalar.one(ORDER)
     values = [A(3), B(2), X1, V2, SignedVector(-one, B(4)),
-              BraidTerm(Scalar.zeta(ORDER), A(0), B(1))]
+              BraidTerm(Scalar.zeta(ORDER), A(0), B(1)), GroupElement(1, -3)]
     for x in values:
         assert not hasattr(x, "__dict__")
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
@@ -85,12 +87,83 @@ def test_braid_dataclasses_have_slots_and_round_trip():
         for field in dataclasses.fields(x):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(x, field.name, getattr(x, field.name))
+        # a name that is no field is refused the same way (an AttributeError)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.extra = 1
     assert A(3) == BasisVector("a", 3) and A(3) != B(3)
     assert len({A(3), BasisVector("a", 3), B(3)}) == 2
     with pytest.raises(ValueError):
         SignedVector(Scalar.zero(ORDER), A(1))
     with pytest.raises(ValueError):
         BasisVector("x1", 2)
+
+
+def test_labels_are_interned():
+    for k in range(12):
+        assert A(k) is A(k) and B(k + 1) is B(k + 1)
+    # direct construction still validates and compares equal
+    assert BasisVector("a", 3) is not A(3) and BasisVector("a", 3) == A(3)
+    # a failed label is never stored: it raises on every call
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            A(-1)
+        with pytest.raises(ValueError):
+            B(0)
+
+
+@pytest.mark.parametrize("cls", [GClassModule, GhClassModule])
+@pytest.mark.parametrize("rep", ["sign", "eps"])
+def test_reflection_action_matches_closed_form(cls, rep):
+    # on the coset basis: h^s.u_k = u_(k+s), g.u_k = rho u_(t-k) and
+    # deg u_k = g h^(t-2k), where a_m = u_m and b_n = rho u_(t-n)
+    m, t = cls(rep), cls.twist
+    one = Scalar.one(ORDER)
+    rho = one if rep == "eps" else -one
+
+    def coset(v):
+        # v = c u_k as (c, k)
+        return (one, v.index) if v.kind == "a" else (rho, t - v.index)
+
+    def label(c, k):
+        # c u_k as its one (coefficient, label) term
+        return [(c, A(k))] if k >= 0 else [(c * rho, B(t - k))]
+
+    for v in m.basis_window(8):
+        c, k = coset(v)
+        for s in range(-10, 11):
+            assert [(x.coeff, x.vec) for x in m.act(GroupElement.h(s), v)] \
+                == label(c, k + s), (v, s)
+        assert [(x.coeff, x.vec) for x in m.act(g, v)] == label(c * rho, t - k), v
+        assert m.coact(v) == GroupElement(1, t - 2 * k), v
+
+
+def test_finite_actions_match_direct_matrix_products():
+    # the action a finite module builds once per group element against
+    # G^e H^q multiplied out here (H^-1 = G H G), on a first and a
+    # repeated call; a rotation off <h^step> raises before and after
+    for m in (x for x in _sample_modules() if x.dim is not None):
+        basis = m.basis()
+        G, H = m.rep.G, m.rep.H
+        h_inv = mat_mul(mat_mul(G, H), G)
+        off_step = [GroupElement(e, m.step + 1) for e in (0, 1)] if m.step > 1 else []
+        for x in off_step:
+            with pytest.raises(ValueError):
+                m.act(x, basis[0])
+        for e, q in itertools.product((0, 1), range(-3, 4)):
+            x = GroupElement(e, m.step * q)
+            mat = identity(m.dim, ORDER)
+            for _ in range(abs(q)):
+                mat = mat_mul(H if q > 0 else h_inv, mat)
+            if e:
+                mat = mat_mul(G, mat)
+            for j, v in enumerate(basis):
+                expected = [(row[j], w) for row, w in zip(mat, basis) if not row[j].is_zero()]
+                for _ in range(2):
+                    assert [(t.coeff, t.vec) for t in m.act(x, v)] == expected, (m, x, v)
+        for x in off_step:
+            for v in basis:
+                with pytest.raises(ValueError):
+                    m.act(x, v)
 
 
 def test_act_examples():
