@@ -1,12 +1,21 @@
-"""Small exact linear algebra over Scalar matrices.
+"""Small exact linear algebra over Scalar matrices and integer rows.
 
 Matrices are lists of lists (rows) of Scalar, all of one cyclotomic order.
 Sizes here are small (the Nichols layer hands over one letter-content
-block at a time), so everything is dense.  Row basis, rank and kernel all
-go through one Gauss-Jordan elimination over Q(zeta_N).
+block at a time), so everything is dense.  Row basis, rank and kernel of
+a Scalar matrix go through one Gauss-Jordan elimination over Q(zeta_N)
+(_row_reduce).
+
+A rational matrix, its rows cleared of denominators, can also go through
+primitive_echelon_rows: the same Gauss-Jordan elimination run
+fraction-free on integer rows, for the Nichols layer's rational
+braidings.  The tests check it against echelon_rows, which stays the
+reference.
 """
 
 from __future__ import annotations
+
+import math
 
 from .field import Scalar
 
@@ -107,6 +116,48 @@ def nullspace(a):
             vec[pc] = -rows[r][fc]
         basis.append(vec)
     return basis
+
+
+def _primitive(row):
+    """row divided by the gcd of its entries (a zero row is returned as is)."""
+    g = math.gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
+def primitive_echelon_rows(a):
+    """Row basis of an integer matrix by fraction-free Gauss-Jordan elimination.
+
+    Over Q a row may be rescaled freely, so rows stay primitive integer
+    vectors (entries with gcd 1): a row update is R <- (p/g) R - (f/g) P,
+    where P is the pivot row, p its pivot, f the entry of R in the pivot
+    column and g = gcd(p, f); the result is divided by its content.  Every
+    row is thereby a nonzero rational multiple of the row that exact
+    elimination over Q would hold at the same step, so the pivots, hence
+    the rank, are exact, and the returned rows are the nonzero rows of the
+    reduced row echelon form of a, each scaled to be primitive with a
+    positive pivot.  Content removal keeps every row the primitive
+    multiple of its exact counterpart, so entries do not grow with the
+    number of updates a row has taken.
+    """
+    rows = [_primitive(list(r)) for r in a]
+    top = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        prow = rows[piv]
+        if prow[col] < 0:
+            prow = [-x for x in prow]
+        rows[piv], rows[top] = rows[top], prow
+        p = prow[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != top:
+                g = math.gcd(p, f)
+                s, t = p // g, f // g
+                rows[r] = _primitive([s * x - t * y for x, y in zip(row, prow)])
+        top += 1
+    return rows[:top]
 
 
 NUMERIC_RANK_TOL = 1e-8

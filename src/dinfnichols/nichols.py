@@ -24,6 +24,16 @@ the basis vectors b of B^{n-1}, and the work per degree scales with
 dim B^{n-1} . dim V instead of the number of words.  quantum_symmetrizer
 keeps the full matrix as the independent oracle.
 
+A basis of B^n on a block is needed only up to its span, so each basis
+vector may be rescaled by any nonzero scalar.  When every q_ij is
+rational (the h-class at a = +-1 and a rational a^2 != 1, the one-class
+modules) the recursion therefore runs over Z: insertion coefficients are
+cleared of denominators once per block and letter, vectors are primitive
+integer rows, and each block is eliminated fraction-free
+(linalg.primitive_echelon_rows).  Each row stays a rational multiple of
+the row exact elimination over Q would give, so the ranks are exact.  Any
+other braiding keeps Scalar rows and linalg.echelon_rows over Q(zeta_N).
+
 Infinite-dimensional modules and braidings that are not diagonal are
 rejected.  Operations refuse degrees past DEGREE_CAP instead of switching to
 approximation; the floating-point route exists only as an independent
@@ -122,60 +132,124 @@ class HilbertPrefix:
         return len(self.dims)
 
 
-def _insert(q, b, x):
-    """T_n(b (x) x) for a vector b = {word: coefficient} of degree n - 1."""
+def _insertion_map(num, den, one, words, rows, x, memo):
+    """T_n(u (x) x) for each word u of a block, as [(word, coefficient)].
+
+    Inserting x at position j of u passes the letters u_k, k >= j, so the
+    coefficient is prod_{k>=j} q(u_k, x).  Over Q, with q = num / den
+    entrywise, it is computed as prod_{k>=j} num(u_k, x) . prod_{k<j}
+    den(u_k, x), that is multiplied by prod_k den(u_k, x); that factor
+    depends only on the letter content of u, so it is one integer for the
+    whole block.  Otherwise den is None and q = num.  The products over
+    a suffix of u are kept in memo, keyed by (x, suffix), for the other
+    words that end in it.  Equal words from adjacent positions are merged
+    and zero sums dropped; words on which every row of the block vanishes
+    get an empty list.
+    """
+    imap = []
+    for u, column in zip(words, zip(*rows)):
+        merged = {}
+        if any(column):
+            kept = [one]
+            if den is not None:
+                for y in u:
+                    kept.append(kept[-1] * den[y][x])
+            passed = one
+            for j in range(len(u), -1, -1):
+                w = u[:j] + (x,) + u[j:]
+                c = passed if den is None else kept[j] * passed
+                merged[w] = merged[w] + c if w in merged else c
+                if j:
+                    key = (x, u[j - 1:])
+                    if key not in memo:
+                        memo[key] = passed * num[u[j - 1]][x]
+                    passed = memo[key]
+        imap.append([(w, c) for w, c in merged.items() if c])
+    return imap
+
+
+def _image(b, imap):
+    """T_n(b (x) x) as {word: coefficient} for a row b over imap's words."""
     out = {}
-    for u, v in b.items():
-        coeff = v
-        for j in range(len(u), -1, -1):
-            w = u[:j] + (x,) + u[j:]
-            out[w] = out[w] + coeff if w in out else coeff
-            if j:
-                coeff = coeff * q[u[j - 1]][x]
+    for v, targets in zip(b, imap):
+        if v:
+            for w, c in targets:
+                p = v * c
+                out[w] = out[w] + p if w in out else p
     return out
 
 
 def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
     """Exact graded dimensions of the Nichols algebra up to max_degree.
 
-    The image recursion of the module docstring: basis[c] is the echelon
-    basis of B^n on the block of letter content c (c[i] = how often letter
-    i occurs), each vector a dict {word: coefficient}.  A degree-n block c
-    is spanned by T_n(b (x) x) over the letters x in c and the vectors b of
-    basis[c - x]; one elimination (linalg.echelon_rows) per block gives its
-    basis, and dim B^n is the sum of the block dimensions.
+    The image recursion of the module docstring.  blocks[c] = (words,
+    rows) for the block of letter content c (c[i] = how often letter i
+    occurs): rows is a basis of B^n on that block, each row a list of
+    coefficients over words, the words of content c that occur in the
+    images spanning the block, in lexicographic order.  A degree-n
+    block c is spanned by T_n(b (x) x) over the letters x in c and the
+    rows b of blocks[c - x]; one elimination per block gives its basis,
+    and dim B^n is the sum of the block dimensions.
+
+    Only the span of a block matters, so a row may be multiplied by any
+    nonzero scalar.  That allows two coefficient routes through the one
+    recursion, chosen from (q_ij):
+
+    * every q_ij rational, q_ij = num_ij / den_ij in lowest terms: the
+      insertion maps are scaled to integers (see _insertion_map), rows
+      are primitive integer lists, and linalg.primitive_echelon_rows
+      eliminates each block.  It returns the rows of the exact reduced
+      echelon form, each rescaled, so the ranks are those over Q and no
+      Scalar or Fraction arises between degrees;
+    * otherwise rows are lists of Scalar, insertion coefficients are the
+      products of the q_ij themselves, and linalg.echelon_rows eliminates
+      over Q(zeta_N).
 
     When the letter reversal s(i) = d - 1 - i fixes q, that is
     q[s(i)][s(j)] = q[i][j] (for two letters: q_11 = q_22 and q_12 = q_21),
     relabelling every word by s maps Sym_n on block c onto Sym_n on block
     c[::-1] entry for entry, by induction on the row recursion.  Only one
     of the two blocks is then eliminated, and its basis relabelled by s
-    serves for the other.
+    serves for the other.  s reverses the lexicographic order of words of
+    one length, so the relabelled rows are the rows reversed.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     _check_degree(max_degree)
     q = _braiding_matrix(m)
-    d, zero = len(q), Scalar.zero(m.order)
+    d = len(q)
     mirror = all(q[d - 1 - i][d - 1 - j] == q[i][j] for i in range(d) for j in range(d))
-    basis = {(0,) * d: [{(): Scalar.one(m.order)}]}
+    if all(v.is_rational() for row in q for v in row):
+        fractions = [[v.as_rational() for v in row] for row in q]
+        num = [[f.numerator for f in row] for row in fractions]
+        den = [[f.denominator for f in row] for row in fractions]
+        one, zero, eliminate = 1, 0, linalg.primitive_echelon_rows
+    else:
+        num, den = q, None
+        one, zero, eliminate = Scalar.one(m.order), Scalar.zero(m.order), linalg.echelon_rows
+    blocks, memo = {(0,) * d: ([()], [[one]])}, {}
     dims = [1]
     for _ in range(max_degree):
         spans = {}
-        for c, vectors in basis.items():
+        for c, (words, rows) in blocks.items():
             for x in range(d):
                 target = c[:x] + (c[x] + 1,) + c[x + 1:]
                 if not (mirror and target[::-1] > target):
-                    spans.setdefault(target, []).extend(_insert(q, b, x) for b in vectors)
-        basis = {}
-        for c, gens in spans.items():
+                    spans.setdefault(target, []).append((words, rows, x))
+        blocks = {}
+        for c, parts in spans.items():
+            gens = []
+            for words, rows, x in parts:
+                imap = _insertion_map(num, den, one, words, rows, x, memo)
+                gens.extend(_image(b, imap) for b in rows)
             words = sorted(set().union(*gens))
-            rows = linalg.echelon_rows([[g.get(w, zero) for w in words] for g in gens])
-            basis[c] = [{w: v for w, v in zip(words, r) if not v.is_zero()} for r in rows]
-            if mirror and c[::-1] != c:
-                basis[c[::-1]] = [{tuple(d - 1 - i for i in w): v for w, v in b.items()}
-                                  for b in basis[c]]
-        dims.append(sum(map(len, basis.values())))
+            rows = eliminate([[g.get(w, zero) for w in words] for g in gens])
+            if rows:
+                blocks[c] = (words, rows)
+                if mirror and c[::-1] != c:
+                    blocks[c[::-1]] = ([tuple(d - 1 - i for i in w) for w in reversed(words)],
+                                       [r[::-1] for r in rows])
+        dims.append(sum(len(rows) for _, rows in blocks.values()))
     return HilbertPrefix(tuple(dims))
 
 

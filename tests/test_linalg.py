@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 from dinfnichols.field import Scalar
-from dinfnichols.linalg import echelon_rows, exact_rank, numeric_rank
+from dinfnichols.linalg import echelon_rows, exact_rank, numeric_rank, primitive_echelon_rows
 
 ORDER = 12
 
@@ -18,17 +19,23 @@ def random_scalar(rng):
             return x
 
 
-def sparse_matrix(rng, rows, cols, deficient):
+def random_rational(rng, height=3):
+    """A nonzero rational Scalar with numerator and denominator up to height."""
+    n = rng.choice([-1, 1]) * rng.randint(1, height)
+    return Scalar.from_rational(Fraction(n, rng.randint(1, height)), ORDER)
+
+
+def sparse_matrix(rng, rows, cols, deficient, scalar=random_scalar):
     """A rows x cols matrix whose entries are nonzero with probability 0.3.
 
     When ``deficient``, some rows are replaced by multiples of earlier rows
     and one row by zeros, so the rank falls below the number of rows."""
     zero = Scalar.zero(ORDER)
-    a = [[random_scalar(rng) if rng.random() < 0.3 else zero for _ in range(cols)]
+    a = [[scalar(rng) if rng.random() < 0.3 else zero for _ in range(cols)]
          for _ in range(rows)]
     if deficient:
         for r in rng.sample(range(1, rows), rows // 3):
-            f = random_scalar(rng)
+            f = scalar(rng)
             a[r] = [f * c for c in a[rng.randrange(r)]]
         a[rng.randrange(rows)] = [zero] * cols
     return a
@@ -63,3 +70,61 @@ def test_sparse_elimination_gives_reduced_echelon_basis():
         assert exact_rank(a + e) == len(e)
         deficient_seen += len(e) < min(rows, cols)
     assert deficient_seen >= 20
+
+
+def dense_rational_matrix(rng, rows, cols):
+    """Entries with numerators and denominators up to 10^6, plus zero rows,
+    duplicate rows and negated rows (so pivots of either sign)."""
+    a = [[random_rational(rng, 10 ** 6) for _ in range(cols)] for _ in range(rows)]
+    for r in range(1, rows):
+        kind = rng.random()
+        if kind < 0.15:
+            a[r] = [Scalar.zero(ORDER)] * cols
+        elif kind < 0.3:
+            a[r] = list(a[rng.randrange(r)])
+        elif kind < 0.45:
+            a[r] = [-c for c in a[rng.randrange(r)]]
+    return a
+
+
+def integer_rows(a):
+    """Each row of a rational Scalar matrix times the lcm of its denominators."""
+    out = []
+    for row in a:
+        fractions = [c.as_rational() for c in row]
+        scale = math.lcm(*(f.denominator for f in fractions))
+        out.append([int(f * scale) for f in fractions])
+    return out
+
+
+def check_primitive_echelon(a):
+    expect = echelon_rows(a)
+    got = primitive_echelon_rows(integer_rows(a))
+    assert len(got) == len(expect)
+    for row, e in zip(got, expect):
+        assert all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1
+        pivot = next(x for x in row if x)
+        assert pivot > 0
+        assert [Scalar.from_rational(Fraction(x, pivot), ORDER) for x in row] == e
+    return len(got)
+
+
+def test_primitive_echelon_rows_match_scalar_elimination():
+    # the integer routine against echelon_rows on the same rational matrix:
+    # each returned row is primitive and, divided by its pivot, the row of
+    # the reduced echelon form
+    rng = random.Random(20261019)
+    deficient_seen = 0
+    for case in range(40):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        a = sparse_matrix(rng, rows, cols, case % 2 == 1 and rows > 1, random_rational)
+        deficient_seen += check_primitive_echelon(a) < min(rows, cols)
+    for _ in range(20):
+        a = dense_rational_matrix(rng, rng.randint(2, 9), rng.randint(1, 9))
+        deficient_seen += check_primitive_echelon(a) < min(len(a), len(a[0]))
+    assert deficient_seen >= 15
+    assert primitive_echelon_rows([]) == [] == echelon_rows([])
+    assert primitive_echelon_rows([[], []]) == []
+    assert primitive_echelon_rows([[0, 0], [0, 0]]) == []
+    assert primitive_echelon_rows([[-4, 6], [2, -3]]) == [[2, -3]]

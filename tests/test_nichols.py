@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from dinfnichols import linalg
 from dinfnichols.classify import default_grid, enumerate_families
 from dinfnichols.field import Scalar
 from dinfnichols.linalg import exact_rank, identity, mat_eq, numeric_rank, zeros
@@ -17,6 +18,7 @@ from dinfnichols.nichols import (
 )
 from dinfnichols.repn import simple_modules
 from dinfnichols.ydmod import (
+    V1,
     V2,
     X1,
     X2,
@@ -129,14 +131,18 @@ class Stub(YDModule):
 
 
 class DiagonalStub(Stub):
-    """c(x_i (x) x_j) = q_ij x_j (x) x_i for any q.
+    """c(x_i (x) x_j) = q_ij x_j (x) x_i for any 2 x 2 or 3 x 3 q.
 
     The families of the library all have symmetric q with q_11 = q_22; a
-    generic q shows transposed or mislabelled braiding entries.
+    generic q shows transposed or mislabelled braiding entries.  Three
+    letters are x1, x2, v1; no family of the library has three.
     """
 
     def __init__(self, q):
-        self.q = q
+        self.q, self.dim = q, len(q)
+
+    def basis(self):
+        return [X1, X2, V1][:self.dim]
 
     def braid(self, v, w):
         i, j = self.basis().index(v), self.basis().index(w)
@@ -171,6 +177,12 @@ GENERIC_Q = DiagonalStub([[rat(2), rat(3)], [rat(-1), Scalar.zeta(12)]])
 # symmetric, but q_11 = -1 kills x1^2 and q_22 = 2 does not, so the blocks
 # (k, n-k) and (n-k, k) differ: swapping the letters does not fix q
 UNMIRRORED_Q = DiagonalStub([[rat(-1), rat(3)], [rat(3), rat(2)]])
+# rational, not symmetric, not mirrored, with distinct denominators, and
+# with prefixes: a q_ii = -1 gives the symmetrizer a kernel from degree 2 on
+RATIONAL_Q = {
+    DiagonalStub([[rat(2), rat("1/3")], [rat("3/4"), rat(-1)]]): [1, 2, 3, 5, 7, 9, 11],
+    DiagonalStub([[rat(-1), rat("5/7")], [rat("-7/5"), rat("3/2")]]): [1, 2, 3, 5, 8, 13, 21],
+}
 
 
 def test_braid_at_examples():
@@ -307,10 +319,55 @@ def test_graded_dims_matches_symmetrizer_rank():
     # the image recursion against the rank of the full symmetrizer matrix
     mods = [i.module for i in enumerate_families(default_grid()) if i.module.dim is not None]
     mods += [HClassModule(1, a) for a in (rat("3/2"), Scalar.zeta(12), Scalar.zeta(12, 4))]
-    mods += [GENERIC_Q, Reversed(GENERIC_Q), UNMIRRORED_Q]
+    mods += [GENERIC_Q, Reversed(GENERIC_Q), UNMIRRORED_Q, *RATIONAL_Q]
     for m in mods:
         expect = [1] + [exact_rank(quantum_symmetrizer(m, n)) for n in range(1, 7)]
         assert list(graded_dims(m, 6)) == expect, m
+    for m, dims in RATIONAL_Q.items():
+        assert list(graded_dims(m, 6)) == dims
+
+
+def test_graded_dims_three_letters():
+    # all q_ij = 1: the polynomial algebra in three variables; all -1 and a
+    # twisted rational q with q_ii = -1 and q_ij q_ji = 1: the exterior algebra
+    ones = [[rat(1)] * 3 for _ in range(3)]
+    minus = [[rat(-1)] * 3 for _ in range(3)]
+    twisted = [[rat(-1), rat(2), rat("1/3")],
+               [rat("1/2"), rat(-1), rat(-5)],
+               [rat(3), rat("-1/5"), rat(-1)]]
+    exterior = [math.comb(3, n) for n in range(7)]
+    for q, closed in ((ones, [math.comb(n + 2, 2) for n in range(7)]),
+                      (minus, exterior), (twisted, exterior)):
+        m = DiagonalStub(q)
+        assert list(graded_dims(m, 6)) == closed
+        assert closed[1:5] == [exact_rank(quantum_symmetrizer(m, n)) for n in range(1, 5)]
+
+
+def test_rational_braidings_skip_scalar_elimination(monkeypatch):
+    # every q_ij rational: the recursion runs on integer rows and never
+    # calls the Scalar elimination; otherwise it does
+    rational = {HClassModule(1, rat(2)): [1, 2, 4, 8, 14, 24, 40],
+                UNMIRRORED_Q: [1, 2, 3, 5, 8, 13, 21],
+                one_class_module("s0+", rat(0)): [1, 2, 3, 4, 5, 6, 7]}
+    scalar_elimination = linalg.echelon_rows
+    calls = []
+
+    def refuse(a):
+        raise AssertionError("Scalar elimination on a rational braiding")
+
+    monkeypatch.setattr(linalg, "echelon_rows", refuse)
+    for m, dims in rational.items():
+        assert list(graded_dims(m, 6)) == dims
+
+    def count(a):
+        calls.append(len(a))
+        return scalar_elimination(a)
+
+    monkeypatch.setattr(linalg, "echelon_rows", count)
+    for m in (HClassModule(1, Scalar.zeta(12)), GENERIC_Q):
+        before = len(calls)
+        graded_dims(m, 4)
+        assert len(calls) > before
 
 
 def test_graded_dims_degree8():
