@@ -165,55 +165,59 @@ def _cmd_verify(args):
     return 1 if res.failed else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="dinfnichols",
-        description="Yetter-Drinfeld modules, braidings and truncated Nichols "
-                    "algebras over the infinite dihedral group")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_zeta(p):
+    p.add_argument("--zeta-order", type=int, default=DEFAULT_ORDER,
+                   help="cyclotomic order N of the scalar field Q(zeta_N)")
 
-    def add_zeta(p):
-        p.add_argument("--zeta-order", type=int, default=DEFAULT_ORDER,
-                       help="cyclotomic order N of the scalar field Q(zeta_N)")
 
-    def add_family(p):
-        p.add_argument("--family", required=True,
-                       choices=["h-class", "g-class", "gh-class", "one-class"])
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--a")
-        p.add_argument("--rep")
-        p.add_argument("--lambda", dest="lam")
+def _add_family(p):
+    p.add_argument("--family", required=True,
+                   choices=["h-class", "g-class", "gh-class", "one-class"])
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--a")
+    p.add_argument("--rep")
+    p.add_argument("--lambda", dest="lam")
 
+
+def _add_alambda(sub):
     p = sub.add_parser("alambda", help="structure of A_lambda")
-    add_zeta(p)
+    _add_zeta(p)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--report", default="structure",
                    choices=["structure", "idempotents", "radical", "simples"])
     p.set_defaults(func=_cmd_alambda)
 
+
+def _add_braiding(sub):
     p = sub.add_parser("braiding", help="braiding table of one family")
-    add_zeta(p)
-    add_family(p)
+    _add_zeta(p)
+    _add_family(p)
     p.add_argument("--window", type=int, default=4)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_braiding)
 
+
+def _add_nichols(sub):
     p = sub.add_parser("nichols", help="truncated Hilbert series")
-    add_zeta(p)
-    add_family(p)
+    _add_zeta(p)
+    _add_family(p)
     p.add_argument("--max-degree", type=int, default=6)
     p.set_defaults(func=_cmd_nichols)
 
+
+def _add_classify(sub):
     p = sub.add_parser("classify", help="classification report")
-    add_zeta(p)
+    _add_zeta(p)
     p.add_argument("--all", action="store_true",
                    help="classify every family on the grid (default behaviour)")
     p.add_argument("--grid", help="JSON file with keys n, a, lambda")
     p.add_argument("--format", default="text", choices=["text", "json", "csv"])
     p.set_defaults(func=_cmd_classify)
 
+
+def _add_verify(sub):
     p = sub.add_parser("verify", help="run property suites")
-    add_zeta(p)
+    _add_zeta(p)
     p.add_argument("--suite", default="all",
                    choices=sorted(SUITES) + ["all"])
     p.add_argument("--window", type=int, default=8)
@@ -222,11 +226,42 @@ def main(argv=None) -> int:
                         "changes no output")
     p.set_defaults(func=_cmd_verify)
 
-    args = parser.parse_args(argv)
+
+# subcommand name -> builder of its subparser, in the order of the help text
+SUBCOMMANDS = {"alambda": _add_alambda, "braiding": _add_braiding,
+               "nichols": _add_nichols, "classify": _add_classify,
+               "verify": _add_verify}
+
+
+def _parser(only=None):
+    """The argument parser, with every subcommand or only the one named.
+
+    The top-level usage line lists the subcommands that were built, so
+    every message that prints it (help, a missing or unknown command, the
+    range checks of main) comes from the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dinfnichols",
+        description="Yetter-Drinfeld modules, braidings and truncated Nichols "
+                    "algebras over the infinite dihedral group")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, build in SUBCOMMANDS.items():
+        if only in (None, name):
+            build(sub)
+    return parser
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known subcommand parses with its own subparser only
+    args, extra = _parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None
+                          ).parse_known_args(argv)
+    if extra:
+        _parser().error(f"unrecognized arguments: {' '.join(extra)}")
     if getattr(args, "window", 1) < 1:
-        parser.error("--window must be >= 1")
+        _parser().error("--window must be >= 1")
     if args.zeta_order < 1:
-        parser.error("--zeta-order must be >= 1")
+        _parser().error("--zeta-order must be >= 1")
     return args.func(args)
 
 

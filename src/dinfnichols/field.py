@@ -14,7 +14,10 @@ A value is stored as integer numerators over one common denominator
 integer coefficients, so products reduce modulo Phi_N in integers; each
 operation ends with one gcd.  The form is canonical, so equality is tuple
 equality.  An inverse is the product of the other Galois conjugates over
-the norm (4.2-4.3), so it too runs on these integer products.
+the norm (4.2-4.3), so it too runs on these integer products.  The two
+integer kernels, the product in Z[zeta_N] (mul_nums) and the conjugate
+product (conjugate_product), are functions on plain int lists, so the
+Nichols layer's integer elimination shares them without building Scalars.
 
 Scalars are immutable and hashable; all operations are pure functions, so
 values can be shared freely between threads.
@@ -101,6 +104,41 @@ def _reduce(order: int, nums: list[int]) -> list[int]:
             for j, r in rows[k - deg]:
                 out[j] += c * r
     return out
+
+
+def mul_nums(order: int, a, b) -> list[int]:
+    """Product in Z[zeta_N] of two integer polynomials in z, usually the
+    phi(N) coefficients (of 1, z, ..., z^(phi-1)) of two elements; the
+    result is reduced modulo Phi_N to phi(N) ints."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    return _reduce(order, prod)
+
+
+def conjugate_product(order: int, nums) -> list[int]:
+    """The product of the Galois conjugates sigma_k(x), 1 < k < N and
+    gcd(k, N) = 1, of x in Z[zeta_N] given by its phi(N) integer
+    coefficients; sigma_k sends z to z^k (Cohen 1993, 4.2).
+
+    Each sigma_k maps Z[z] onto itself, so the product lies in Z[z], and
+    times x it is the norm N(x), a rational integer, nonzero for x != 0.
+    ``Scalar.inverse`` divides by it; the Nichols layer's integer
+    elimination (``linalg.primitive_echelon_rows``) multiplies a pivot row
+    by it to make the pivot a rational integer.
+    """
+    conj = None
+    for k in range(2, order):
+        if math.gcd(k, order) == 1:
+            moved = [0] * order
+            for i, c in enumerate(nums):
+                moved[i * k % order] = c
+            sigma = _reduce(order, moved)
+            conj = sigma if conj is None else mul_nums(order, conj, sigma)
+    return [1] + list(_zero_tail(order)) if conj is None else conj
 
 
 def _rational_parts(q) -> tuple[int, int]:
@@ -234,42 +272,28 @@ class Scalar:
             return _scale(a[0], self.den, o)
         if not any(b[1:]):
             return _scale(b[0], o.den, self)
-        deg = len(a)
-        prod = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return _canonical(self.order, _reduce(self.order, prod), self.den * o.den)
+        return _canonical(self.order, mul_nums(self.order, a, b), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse by the Galois norm (Cohen 1993, 4.2-4.3).
 
-        With P the product of the conjugates sigma_k(x), 1 < k < N and
-        gcd(k, N) = 1, where sigma_k sends z to z^k, the norm P*x is
-        rational and x^-1 = P / (P*x): kernel products and one scaling.
+        x = nums / den with nums in Z[z].  P = conjugate_product(nums) lies
+        in Z[z] and P * nums is the rational integer n = N(nums), so
+        x^-1 = den * P / n: integer products and one scaling.
         """
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero scalar")
         if self.is_rational():
             return Scalar.from_rational(Fraction(self.den, self.nums[0]), self.order)
         order = self.order
-        conj = None
-        for k in range(2, order):
-            if math.gcd(k, order) == 1:
-                moved = [0] * order
-                for i, c in enumerate(self.nums):
-                    moved[i * k % order] = c
-                # sigma_k maps Z[z] onto itself, so the gcd with den stays 1
-                sigma = _new(order, tuple(_reduce(order, moved)), self.den)
-                conj = sigma if conj is None else conj * sigma
-        norm = conj * self
-        assert norm.is_rational(), "the Galois norm must be rational"
-        n, d = norm.nums[0], norm.den
-        return _scale(d if n > 0 else -d, abs(n), conj)
+        conj = conjugate_product(order, self.nums)
+        n, *rest = mul_nums(order, conj, self.nums)
+        if any(rest) or not n:
+            raise ArithmeticError(f"the Galois norm of {self} is not a nonzero rational")
+        d = self.den if n > 0 else -self.den
+        return _canonical(order, [d * c for c in conj], abs(n))
 
     def __truediv__(self, other):
         o = self._coerce(other)

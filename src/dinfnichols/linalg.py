@@ -6,18 +6,22 @@ block at a time), so everything is dense.  Row basis, rank and kernel of
 a Scalar matrix go through one Gauss-Jordan elimination over Q(zeta_N)
 (_row_reduce).
 
-A rational matrix, its rows cleared of denominators, can also go through
-primitive_echelon_rows: the same Gauss-Jordan elimination run
-fraction-free on integer rows, for the Nichols layer's rational
-braidings.  The tests check it against echelon_rows, which stays the
-reference.
+A matrix over Q(zeta_N), its rows cleared of denominators, can also go
+through primitive_echelon_rows: the same Gauss-Jordan elimination run
+fraction-free on integer rows over Z[zeta_N], each row one flat int list
+of phi(N) coefficient planes (a plain integer row when phi = 1).  Pivots
+are made rational integers by the product of their other Galois
+conjugates (field.conjugate_product), so a row update is an integer
+combination of whole integer lists.  The Nichols layer eliminates every
+block this way.  The tests check it against echelon_rows, which stays the
+reference, as do exact_rank and nullspace for the representation layer.
 """
 
 from __future__ import annotations
 
 import math
 
-from .field import Scalar
+from .field import Scalar, conjugate_product, mul_nums
 
 Matrix = list
 
@@ -124,21 +128,33 @@ def _primitive(row):
     return row if g < 2 else [x // g for x in row]
 
 
-def primitive_echelon_rows(a):
-    """Row basis of an integer matrix by fraction-free Gauss-Jordan elimination.
+def primitive_echelon_rows(a, order: int = 1):
+    """Row basis of a matrix over Z[zeta_N] by fraction-free Gauss-Jordan elimination.
 
-    Over Q a row may be rescaled freely, so rows stay primitive integer
-    vectors (entries with gcd 1): a row update is R <- (p/g) R - (f/g) P,
-    where P is the pivot row, p its pivot, f the entry of R in the pivot
-    column and g = gcd(p, f); the result is divided by its content.  Every
-    row is thereby a nonzero rational multiple of the row that exact
-    elimination over Q would hold at the same step, so the pivots, hence
-    the rank, are exact, and the returned rows are the nonzero rows of the
-    reduced row echelon form of a, each scaled to be primitive with a
-    positive pivot.  Content removal keeps every row the primitive
-    multiple of its exact counterpart, so entries do not grow with the
-    number of updates a row has taken.
+    Each row is one flat list of ints holding phi = phi(N) planes of
+    equal width: plane t holds the z^t coefficients of the entries, so the
+    entry in column j of a row of width w is sum_t row[t*w + j] z^t.  For
+    phi = 1 (``order`` 1 or 2, the default) a row is a plain integer row.
+
+    Over Q(zeta_N) a row may be rescaled freely, so rows stay primitive
+    integer vectors (all their ints together have gcd 1).  A pivot row is
+    first multiplied by the product of the other Galois conjugates of its
+    pivot entry (field.conjugate_product), which makes the pivot the
+    rational integer N(pivot); it is then made primitive with a positive
+    pivot p.  A row update is R <- (p/g) R - sum_a (f_a/g) z^a P, where P
+    is the pivot row, f = sum_a f_a z^a the entry of R in the pivot column
+    and g = gcd(p, f_0, ..., f_(phi-1)); the result is divided by its
+    content.  Each step scales a row by a nonzero rational, so every row is
+    a rational multiple of the row that exact elimination over Q(zeta_N)
+    would hold at the same step.  The pivots, hence the rank, are exact,
+    and the returned rows are the nonzero rows of the reduced row echelon
+    form of a, each scaled to be primitive with a positive rational pivot.
+    Content removal keeps every row the primitive multiple of its exact
+    counterpart, so entries do not grow with the number of updates a row
+    has taken.
     """
+    if order > 2:  # phi(N) = 1 only for N = 1, 2
+        return _cyclotomic_echelon(a, order)
     rows = [_primitive(list(r)) for r in a]
     top = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -156,6 +172,76 @@ def primitive_echelon_rows(a):
                 g = math.gcd(p, f)
                 s, t = p // g, f // g
                 rows[r] = _primitive([s * x - t * y for x, y in zip(row, prow)])
+        top += 1
+    return rows[:top]
+
+
+def _zeta_powers(row, width, wrap, count):
+    """[row, z row, ..., z^(count-1) row] for a flat row of planes of width
+    ``width``; z^phi = sum_j c z^j over the pairs (j, c) of ``wrap``."""
+    out = [row]
+    for _ in range(count - 1):
+        top = row[-width:]
+        row = [0] * width + row[:-width]
+        for j, c in wrap:
+            lo = j * width
+            row[lo:lo + width] = [x + c * y for x, y in zip(row[lo:lo + width], top)]
+        out.append(row)
+    return out
+
+
+def _combine(coeffs, vectors):
+    """sum_a coeffs[a] vectors[a] over the nonzero coefficients."""
+    acc = None
+    for c, v in zip(coeffs, vectors):
+        if c:
+            acc = [c * y for y in v] if acc is None else [x + c * y for x, y in zip(acc, v)]
+    return acc
+
+
+def _cyclotomic_echelon(a, order):
+    """primitive_echelon_rows for phi > 1 (see there)."""
+    phi = len(Scalar.one(order).nums)
+    rows = [_primitive(list(r)) for r in a]
+    width = len(rows[0]) // phi if rows else 0
+    wrap = [(j, c) for j, c in enumerate(mul_nums(order, [1], [0] * phi + [1])) if c]  # z^phi
+    top = 0
+    for col in range(width):
+        found = [(r, e) for r in range(top, len(rows)) for e in (rows[r][col::width],) if any(e)]
+        if not found:
+            continue
+        # any of them will do; one with a rational entry needs no conjugate product
+        piv, pentry = next((f for f in found if not any(f[1][1:])), found[0])
+        # the pivot row on its support only: compact planes of len(cols)
+        prow = rows[piv]
+        cols = [j for j in range(width) if any(prow[j::width])]
+        idx = [t * width + j for t in range(phi) for j in cols]
+        n = len(cols)
+        compact = [prow[k] for k in idx]
+        if any(pentry[1:]):
+            compact = _combine(conjugate_product(order, pentry),
+                               _zeta_powers(compact, n, wrap, phi))
+        compact = _primitive(compact)
+        p = compact[cols.index(col)]
+        if p < 0:
+            compact, p = [-x for x in compact], -p
+        prow = [0] * (phi * width)
+        for k, x in zip(idx, compact):
+            prow[k] = x
+        rows[piv], rows[top] = rows[top], prow
+        powers = _zeta_powers(compact, n, wrap, phi)
+        for r, row in enumerate(rows):
+            f = row[col::width]
+            if r != top and any(f):
+                g = math.gcd(p, *f)
+                s = p // g
+                if s != 1:
+                    row = [s * x for x in row]
+                if g != 1:
+                    f = [x // g for x in f]
+                for k, d in zip(idx, _combine(f, powers)):
+                    row[k] -= d
+                rows[r] = _primitive(row)
         top += 1
     return rows[:top]
 

@@ -25,14 +25,22 @@ dim B^{n-1} . dim V instead of the number of words.  quantum_symmetrizer
 keeps the full matrix as the independent oracle.
 
 A basis of B^n on a block is needed only up to its span, so each basis
-vector may be rescaled by any nonzero scalar.  When every q_ij is
-rational (the h-class at a = +-1 and a rational a^2 != 1, the one-class
-modules) the recursion therefore runs over Z: insertion coefficients are
-cleared of denominators once per block and letter, vectors are primitive
-integer rows, and each block is eliminated fraction-free
-(linalg.primitive_echelon_rows).  Each row stays a rational multiple of
-the row exact elimination over Q would give, so the ranks are exact.  Any
-other braiding keeps Scalar rows and linalg.echelon_rows over Q(zeta_N).
+vector may be rescaled by any nonzero scalar, and the recursion runs on
+integer rows over Z[zeta_N] for every braiding.  With q_ij = num_ij /
+den_ij (num_ij in Z[zeta_N], den_ij a positive integer) the insertion
+coefficients are cleared of denominators once per block and letter, and
+a row is one flat int list of coefficient planes: one plane when every
+q_ij is rational (the h-class at a = +-1 and a rational a^2 != 1, the
+one-class modules), otherwise phi(N') planes, where Q(zeta_N') is the
+least cyclotomic field of the form Q(z^k) that holds every q_ij
+(_subring).  Each block is eliminated fraction-free
+(linalg.primitive_echelon_rows); a pivot row is multiplied by the
+product of the other Galois conjugates of its pivot, which makes the
+pivot a rational integer, so a row update is an integer combination of
+integer lists.  Every step scales a row by a nonzero rational, so each
+row stays a rational multiple of the row exact elimination over
+Q(zeta_N) would give, and the ranks are exact.  linalg.echelon_rows on
+Scalar rows stays the oracle.
 
 Infinite-dimensional modules and braidings that are not diagonal are
 rejected.  Operations refuse degrees past DEGREE_CAP instead of switching to
@@ -44,11 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Optional
 
 from . import linalg
-from .field import Scalar
+from .field import Scalar, cyclotomic_polynomial, mul_nums
 from .ydmod import YDModule, diagonal_type
 
 DEGREE_CAP = 8
@@ -136,22 +145,21 @@ def _insertion_map(num, den, one, words, rows, x, memo):
     """T_n(u (x) x) for each word u of a block, as [(word, coefficient)].
 
     Inserting x at position j of u passes the letters u_k, k >= j, so the
-    coefficient is prod_{k>=j} q(u_k, x).  Over Q, with q = num / den
-    entrywise, it is computed as prod_{k>=j} num(u_k, x) . prod_{k<j}
-    den(u_k, x), that is multiplied by prod_k den(u_k, x); that factor
-    depends only on the letter content of u, so it is one integer for the
-    whole block.  Otherwise den is None and q = num.  The products over
-    a suffix of u are kept in memo, keyed by (x, suffix), for the other
-    words that end in it.  Equal words from adjacent positions are merged
-    and zero sums dropped; words on which every row of the block vanishes
-    get an empty list.
+    coefficient is prod_{k>=j} q(u_k, x).  With q = num / den entrywise it
+    is computed as prod_{k>=j} num(u_k, x) . prod_{k<j} den(u_k, x), that
+    is multiplied by prod_k den(u_k, x); that factor depends only on the
+    letter content of u, so it is one integer for the whole block (den is
+    None when every den is 1).  The products over a suffix of u are kept
+    in memo, keyed by (x, suffix), for the other words that end in it.
+    Equal words from adjacent positions are merged and zero sums dropped;
+    words on which every row of the block vanishes get an empty list.
     """
     imap = []
     for u, column in zip(words, zip(*rows)):
         merged = {}
         if any(column):
-            kept = [one]
             if den is not None:
+                kept = [1]
                 for y in u:
                     kept.append(kept[-1] * den[y][x])
             passed = one
@@ -168,15 +176,128 @@ def _insertion_map(num, den, one, words, rows, x, memo):
     return imap
 
 
-def _image(b, imap):
-    """T_n(b (x) x) as {word: coefficient} for a row b over imap's words."""
-    out = {}
-    for v, targets in zip(b, imap):
+def _planar_insertion_map(num, den, one, mul, words, rows, x, memo):
+    """_insertion_map over Z[zeta_N], split by powers of z.
+
+    The num entries and the coefficients are lists of phi ints, multiplied
+    by ``mul``; rows are flat lists of phi planes over words.  Returns
+    (s, imap_s) for each s where some coefficient has a nonzero z^s part,
+    imap_s[k] = [(word, that part)] for the k-th word.
+    """
+    width = len(words)
+    live = [any(col) for col in zip(*rows)]
+    imap = []
+    for k, u in enumerate(words):
+        merged = {}
+        if any(live[k::width]):
+            if den is not None:
+                kept = [1]
+                for y in u:
+                    kept.append(kept[-1] * den[y][x])
+            passed = one
+            for j in range(len(u), -1, -1):
+                w = u[:j] + (x,) + u[j:]
+                c = passed if den is None else [kept[j] * y for y in passed]
+                merged[w] = [a + b for a, b in zip(merged[w], c)] if w in merged else c
+                if j:
+                    key = (x, u[j - 1:])
+                    if key not in memo:
+                        memo[key] = mul(passed, num[u[j - 1]][x])
+                    passed = memo[key]
+        imap.append(merged.items())
+    out = []
+    for s in range(len(one)):
+        part = [[(w, c[s]) for w, c in targets if c[s]] for targets in imap]
+        if any(part):
+            out.append((s, part))
+    return out
+
+
+def _accumulate(out, plane, imap):
+    """out += the image of a row (or one plane of it) under imap."""
+    for v, targets in zip(plane, imap):
         if v:
             for w, c in targets:
                 p = v * c
                 out[w] = out[w] + p if w in out else p
     return out
+
+
+def _planar_image(b, imaps, width, wrap):
+    """T_n(b (x) x) as one {word: int} per plane, for a row b of planes.
+
+    Plane t of b times the z^s part of the insertion map lands on
+    z^(t+s).  z^e for e >= phi is folded back, highest e first, as
+    z^(e-phi) z^phi with z^phi = sum_j r z^j over the pairs (j, r) of wrap.
+    """
+    planes = len(b) // width
+    out = [{} for _ in range(2 * planes - 1)]
+    for t in range(planes):
+        plane = b[t * width:(t + 1) * width]
+        for s, imap in imaps:
+            _accumulate(out[t + s], plane, imap)
+    for e in range(2 * planes - 2, planes - 1, -1):
+        for j, r in wrap:
+            o = out[e - planes + j]
+            for w, v in out[e].items():
+                o[w] = o[w] + r * v if w in o else r * v
+    return out[:planes]
+
+
+def _rational_block(parts, num, den, memo):
+    """(words, integer rows) spanning a block when every q_ij is rational."""
+    gens = []
+    for words, rows, x in parts:
+        imap = _insertion_map(num, den, 1, words, rows, x, memo)
+        gens.extend(_accumulate({}, b, imap) for b in rows)
+    words = sorted(set().union(*gens))
+    return words, linalg.primitive_echelon_rows([[g.get(w, 0) for w in words] for g in gens])
+
+
+def _cyclotomic_block(parts, num, den, order, one, wrap, memo):
+    """(words, rows of planes over Z[zeta_order]) spanning a block."""
+    mul = partial(mul_nums, order)
+    gens = []
+    for words, rows, x in parts:
+        imaps = _planar_insertion_map(num, den, one, mul, words, rows, x, memo)
+        gens.extend(_planar_image(b, imaps, len(words), wrap) for b in rows)
+    words = sorted(set().union(*(o for g in gens for o in g)))
+    return words, linalg.primitive_echelon_rows(
+        [[o.get(w, 0) for o in g for w in words] for g in gens], order)
+
+
+def _mirrored(rows, planes):
+    """rows with each of their planes reversed."""
+    if planes == 1:
+        return [r[::-1] for r in rows]
+    out = []
+    for r in rows:
+        width, rev = len(r) // planes, r[::-1]
+        out.append([v for lo in range(len(r) - width, -1, -width) for v in rev[lo:lo + width]])
+    return out
+
+
+def _subring(q, order):
+    """(N/k, k) for the largest k | N with Phi_N(x) = Phi_{N/k}(x^k) such
+    that every q_ij is a rational combination of the powers z^(k t); N is
+    ``order``, and (N, 1) if there is no such k > 1.
+
+    Then z^k is a primitive (N/k)-th root of unity and its powers below
+    phi(N/k) are every k-th element of the power basis of Q(zeta_N), so
+    the q_ij lie in Q(zeta_{N/k}) with coefficients v.nums[::k], and the
+    recursion runs on phi(N)/k planes; ranks do not change in the larger
+    field.  a = z^4 at N = 12, of order 3, runs on 2 planes, not 4.
+    """
+    big = list(cyclotomic_polynomial(order))
+    for k in range(order - 1, 1, -1):
+        small = cyclotomic_polynomial(order // k) if order % k == 0 else ()
+        if small and (len(small) - 1) * k == len(big) - 1:
+            spread = [0] * len(big)
+            spread[::k] = small
+            if spread == big and not any(
+                    c for row in q for v in row for i, c in enumerate(v.nums) if i % k):
+                return order // k, k
+    return order, 1
 
 
 def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
@@ -192,18 +313,19 @@ def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
     and dim B^n is the sum of the block dimensions.
 
     Only the span of a block matters, so a row may be multiplied by any
-    nonzero scalar.  That allows two coefficient routes through the one
-    recursion, chosen from (q_ij):
-
-    * every q_ij rational, q_ij = num_ij / den_ij in lowest terms: the
-      insertion maps are scaled to integers (see _insertion_map), rows
-      are primitive integer lists, and linalg.primitive_echelon_rows
-      eliminates each block.  It returns the rows of the exact reduced
-      echelon form, each rescaled, so the ranks are those over Q and no
-      Scalar or Fraction arises between degrees;
-    * otherwise rows are lists of Scalar, insertion coefficients are the
-      products of the q_ij themselves, and linalg.echelon_rows eliminates
-      over Q(zeta_N).
+    nonzero scalar, and the recursion runs on integer rows over Z[zeta_N].
+    Write q_ij = num_ij / den_ij with num_ij in Z[zeta_N] (Scalar.nums)
+    and den_ij a positive integer (Scalar.den); the insertion maps are
+    scaled to Z[zeta_N] (see _insertion_map).  A row is one flat int list
+    of planes: plane t holds the z^t coefficients over the block's words.
+    When every q_ij is rational there is one plane (phi = 1) and a row is
+    a plain integer row; otherwise there are phi(N/k) planes, with k from
+    _subring.  linalg.primitive_echelon_rows eliminates each block
+    fraction-free.  It
+    returns the rows of the exact reduced echelon form over Q(zeta_N),
+    each scaled by a nonzero rational (pivots are made rational integers
+    by the product of their other Galois conjugates), so the ranks are
+    those over Q(zeta_N) and no Scalar or Fraction arises between degrees.
 
     When the letter reversal s(i) = d - 1 - i fixes q, that is
     q[s(i)][s(j)] = q[i][j] (for two letters: q_11 = q_22 and q_12 = q_21),
@@ -211,7 +333,8 @@ def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
     c[::-1] entry for entry, by induction on the row recursion.  Only one
     of the two blocks is then eliminated, and its basis relabelled by s
     serves for the other.  s reverses the lexicographic order of words of
-    one length, so the relabelled rows are the rows reversed.
+    one length, so the relabelled rows are the rows reversed plane by
+    plane.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -219,15 +342,23 @@ def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
     q = _braiding_matrix(m)
     d = len(q)
     mirror = all(q[d - 1 - i][d - 1 - j] == q[i][j] for i in range(d) for j in range(d))
+    den = [[v.den for v in row] for row in q]
+    if all(v == 1 for row in den for v in row):
+        den = None
+    memo = {}
     if all(v.is_rational() for row in q for v in row):
-        fractions = [[v.as_rational() for v in row] for row in q]
-        num = [[f.numerator for f in row] for row in fractions]
-        den = [[f.denominator for f in row] for row in fractions]
-        one, zero, eliminate = 1, 0, linalg.primitive_echelon_rows
+        planes, one = 1, [1]
+        num = [[v.nums[0] for v in row] for row in q]
+        block = partial(_rational_block, num=num, den=den, memo=memo)
     else:
-        num, den = q, None
-        one, zero, eliminate = Scalar.one(m.order), Scalar.zero(m.order), linalg.echelon_rows
-    blocks, memo = {(0,) * d: ([()], [[one]])}, {}
+        order, step = _subring(q, m.order)
+        one = list(Scalar.one(order).nums)
+        planes = len(one)
+        num = [[v.nums[::step] for v in row] for row in q]
+        wrap = [(j, c) for j, c in enumerate(mul_nums(order, [1], [0] * planes + [1])) if c]
+        block = partial(_cyclotomic_block, num=num, den=den, order=order, one=one,
+                        wrap=wrap, memo=memo)
+    blocks = {(0,) * d: ([()], [one])}
     dims = [1]
     for _ in range(max_degree):
         spans = {}
@@ -238,17 +369,12 @@ def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
                     spans.setdefault(target, []).append((words, rows, x))
         blocks = {}
         for c, parts in spans.items():
-            gens = []
-            for words, rows, x in parts:
-                imap = _insertion_map(num, den, one, words, rows, x, memo)
-                gens.extend(_image(b, imap) for b in rows)
-            words = sorted(set().union(*gens))
-            rows = eliminate([[g.get(w, zero) for w in words] for g in gens])
+            words, rows = block(parts)
             if rows:
                 blocks[c] = (words, rows)
                 if mirror and c[::-1] != c:
                     blocks[c[::-1]] = ([tuple(d - 1 - i for i in w) for w in reversed(words)],
-                                       [r[::-1] for r in rows])
+                                       _mirrored(rows, planes))
         dims.append(sum(len(rows) for _, rows in blocks.values()))
     return HilbertPrefix(tuple(dims))
 

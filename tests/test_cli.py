@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from dinfnichols.classify import REPORT_SCHEMA
+from dinfnichols import cli
 from dinfnichols.cli import main
 
 
@@ -101,6 +102,55 @@ def test_window_below_one_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "tables", "--window", "0"])
     assert "must be >= 1" in capsys.readouterr().err
+
+
+FULL_USAGE = "usage: dinfnichols [-h] {alambda,braiding,nichols,classify,verify} ...\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["alambda", "--lambda", "2", "--report", "simples"],
+    ["braiding", "--family", "g-class", "--rep", "sign", "--window", "1"],
+    ["nichols", "--family", "h-class", "--a=-1", "--max-degree", "3"],
+    ["classify", "--format", "csv"],
+    ["verify", "--suite", "tables", "--window", "1"],
+])
+def test_known_subcommand_builds_only_its_parser(monkeypatch, capsys, argv):
+    def refuse(sub):
+        raise AssertionError("built the parser of another subcommand")
+
+    for name in cli.SUBCOMMANDS:
+        if name != argv[0]:
+            monkeypatch.setitem(cli.SUBCOMMANDS, name, refuse)
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: dinfnichols {argv[0]} [-h]")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'alambda', "
+                "'braiding', 'nichols', 'classify', 'verify')"),
+    (["--zeta-order", "3", "nichols"], "argument command: invalid choice: '3' (choose "
+                                       "from 'alambda', 'braiding', 'nichols', "
+                                       "'classify', 'verify')"),
+    (["nichols", "--family", "h-class", "--a", "2", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["verify", "--window", "0"], "--window must be >= 1"),
+    (["classify", "--zeta-order", "0"], "--zeta-order must be >= 1"),
+])
+def test_top_level_errors_list_every_subcommand(capsys, argv, message):
+    # messages that print the top-level usage come from the full parser
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"{FULL_USAGE}dinfnichols: error: {message}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"{FULL_USAGE}\nYetter-Drinfeld modules")
 
 
 def test_alambda_bad_lambda_exits_with_message(capsys):

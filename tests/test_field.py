@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from dinfnichols import field
 from dinfnichols.field import (
     Scalar,
+    conjugate_product,
     cyclotomic_polynomial,
+    mul_nums,
     parse_scalar,
     root_of_unity_order,
 )
@@ -342,3 +345,36 @@ def test_floats_refused():
     # exact integer types keep working, bool included
     assert Scalar.from_rational(True) == Scalar.one(12)
     assert Scalar(12, [Fraction(3, 1), 2]) == 3 + 2 * Scalar.zeta(12)
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_conjugate_product_gives_the_norm(order):
+    # x times the product of its other conjugates is a nonzero rational
+    # integer; for x = z it is N(z) = +-1, the conjugate product is then
+    # +-z^-1, and both kernels agree with the Fraction oracle
+    rng = random.Random(order)
+    deg = len(cyclotomic_polynomial(order)) - 1
+    for _ in range(20):
+        nums = [rng.randint(-5, 5) for _ in range(deg)]
+        if not any(nums):
+            continue
+        conj = conjugate_product(order, nums)
+        assert all(type(c) is int for c in conj)
+        norm = mul_nums(order, conj, nums)
+        assert norm[0] != 0 and not any(norm[1:])
+        assert mul_nums(order, conj, nums) == [int(c) for c in ref_mul(order, conj, nums)]
+    z = Scalar.zeta(order)
+    conj = Scalar(order, conjugate_product(order, z.nums))
+    assert conj in (z.inverse(), -z.inverse())
+
+
+def test_inverse_checks_the_norm(monkeypatch):
+    # a wrong conjugate product gives a norm that is not rational, and the
+    # inverse refuses it with an exception, which python -O keeps
+    x = Scalar.parse("z^3+2z-1", 12)
+    expect = x.inverse()
+    monkeypatch.setattr(field, "conjugate_product", lambda order, nums: [1, 1, 0, 0])
+    with pytest.raises(ArithmeticError, match="Galois norm"):
+        x.inverse()
+    monkeypatch.undo()
+    assert x.inverse() == expect

@@ -128,3 +128,92 @@ def test_primitive_echelon_rows_match_scalar_elimination():
     assert primitive_echelon_rows([[], []]) == []
     assert primitive_echelon_rows([[0, 0], [0, 0]]) == []
     assert primitive_echelon_rows([[-4, 6], [2, -3]]) == [[2, -3]]
+
+
+# -- the integer kernel over Z[zeta_N] ----------------------------------------
+
+def planar_rows(a, order):
+    """Each row of a Scalar matrix times the lcm of its denominators, as
+    one flat int list of phi planes (plane t: the z^t coefficients)."""
+    phi = len(Scalar.one(order).nums)
+    out = []
+    for row in a:
+        scale = math.lcm(*(c.den for c in row))
+        out.append([c.nums[t] * (scale // c.den) for t in range(phi) for c in row])
+    return out
+
+
+def scalar_rows(rows, order, width):
+    """Flat plane rows back to rows of Scalar."""
+    phi = len(Scalar.one(order).nums)
+    return [[Scalar(order, [row[t * width + j] for t in range(phi)]) for j in range(width)]
+            for row in rows]
+
+
+def random_cyclotomic(rng, order):
+    """A nonzero element of Q(zeta_N) with small numerators and denominators."""
+    phi = len(Scalar.one(order).nums)
+    while True:
+        x = Scalar(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                           if rng.random() < 0.6 else 0 for _ in range(phi)])
+        if x:
+            return x
+
+
+def check_cyclotomic_echelon(a, order):
+    width = len(a[0])
+    expect = echelon_rows(a)
+    got = primitive_echelon_rows(planar_rows(a, order), order)
+    assert len(got) == len(expect)
+    for row, e in zip(got, expect):
+        assert all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1
+        entries = scalar_rows([row], order, width)[0]
+        pivot = next(x for x in entries if x)
+        assert pivot.is_rational() and pivot.as_rational() > 0
+        assert [x * pivot.inverse() for x in entries] == e
+    return len(got)
+
+
+def test_cyclotomic_echelon_rows_match_scalar_elimination():
+    # the integer kernel over Z[zeta_N] against echelon_rows: rows that are
+    # z^k or (1 + z) times another row must come out dependent, and each
+    # returned row, divided by its rational pivot, is the reduced echelon row
+    rng = random.Random(20261019)
+    for order in (5, 8, 12):
+        zero = Scalar.zero(order)
+        z = Scalar.zeta(order)
+        deficient_seen = 0
+        for case in range(30):
+            rows, cols = rng.randint(2, 9), rng.randint(1, 9)
+            a = [[random_cyclotomic(rng, order) if rng.random() < 0.4 else zero
+                  for _ in range(cols)] for _ in range(rows)]
+            if case % 2:
+                r, s = rng.sample(range(rows), 2)
+                f = z ** rng.randrange(order) if case % 4 == 1 else 1 + z
+                a[r] = [f * c for c in a[s]]
+                a[rng.randrange(rows)] = [zero] * cols
+            rank = check_cyclotomic_echelon(a, order)
+            assert rank == exact_rank(a)
+            deficient_seen += rank < min(rows, cols)
+        assert deficient_seen >= 10
+        # one row and z^3 times it: rank 1
+        row = [random_cyclotomic(rng, order) for _ in range(4)]
+        assert check_cyclotomic_echelon([row, [z ** 3 * c for c in row]], order) == 1
+        assert primitive_echelon_rows([], order) == []
+        assert primitive_echelon_rows([[0] * (2 * len(z.nums))] * 3, order) == []
+
+
+def test_integer_kernel_on_rational_input_is_the_phi_one_kernel():
+    # phi = 1 (orders 1 and 2) is the plain integer elimination; a rational
+    # matrix laid out in planes over Z[zeta_12] gives the same rows with
+    # zero planes above the first
+    rng = random.Random(7)
+    for case in range(30):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        a = sparse_matrix(rng, rows, cols, case % 2 == 1 and rows > 1, random_rational)
+        plain = integer_rows(a)
+        expect = primitive_echelon_rows(plain)
+        assert primitive_echelon_rows(plain, 1) == expect == primitive_echelon_rows(plain, 2)
+        planar = primitive_echelon_rows([r + [0] * (3 * cols) for r in plain], ORDER)
+        assert planar == [r + [0] * (3 * cols) for r in expect]

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -344,30 +348,93 @@ def test_graded_dims_three_letters():
 
 
 def test_rational_braidings_skip_scalar_elimination(monkeypatch):
-    # every q_ij rational: the recursion runs on integer rows and never
-    # calls the Scalar elimination; otherwise it does
-    rational = {HClassModule(1, rat(2)): [1, 2, 4, 8, 14, 24, 40],
-                UNMIRRORED_Q: [1, 2, 3, 5, 8, 13, 21],
-                one_class_module("s0+", rat(0)): [1, 2, 3, 4, 5, 6, 7]}
-    scalar_elimination = linalg.echelon_rows
-    calls = []
+    # every braiding runs the recursion on integer rows, over Z when every
+    # q_ij is rational and over Z[zeta_N] otherwise; neither calls the
+    # Scalar elimination, which stays the oracle
+    dims = {HClassModule(1, rat(2)): [1, 2, 4, 8, 14, 24, 40],
+            UNMIRRORED_Q: [1, 2, 3, 5, 8, 13, 21],
+            one_class_module("s0+", rat(0)): [1, 2, 3, 4, 5, 6, 7],
+            HClassModule(1, Scalar.zeta(12)): [1, 2, 4, 8, 14, 24, 40],
+            HClassModule(1, Scalar.zeta(12, 4)): [1, 2, 4, 6, 10, 16, 24],
+            HClassModule(1, Scalar.parse("1/2+z", 12)): [1, 2, 4, 8, 14, 24, 40],
+            GENERIC_Q: [1, 2, 4, 8, 16, 32, 64]}
 
     def refuse(a):
-        raise AssertionError("Scalar elimination on a rational braiding")
+        raise AssertionError("Scalar elimination in graded_dims")
 
     monkeypatch.setattr(linalg, "echelon_rows", refuse)
-    for m, dims in rational.items():
-        assert list(graded_dims(m, 6)) == dims
+    for m, expect in dims.items():
+        assert list(graded_dims(m, 6)) == expect, m
 
-    def count(a):
-        calls.append(len(a))
-        return scalar_elimination(a)
 
-    monkeypatch.setattr(linalg, "echelon_rows", count)
-    for m in (HClassModule(1, Scalar.zeta(12)), GENERIC_Q):
-        before = len(calls)
-        graded_dims(m, 4)
-        assert len(calls) > before
+# Hilbert prefixes through degree 8, computed by the Scalar elimination
+# over Q(zeta_N) before the integer route covered cyclotomic braidings
+PINNED_H_CLASS = {
+    "z": (1, 2, 4, 8, 14, 24, 40, 64, 100),
+    "z^2": (1, 2, 4, 8, 14, 24, 37, 58, 88),
+    "z^3": (1, 2, 4, 8, 11, 18, 28, 40, 60),
+    "z^4": (1, 2, 4, 6, 10, 16, 24, 36, 52),
+    "z^5": (1, 2, 4, 8, 14, 24, 40, 64, 100),
+    "-z": (1, 2, 4, 8, 14, 24, 40, 64, 100),
+    "z^2+z": (1, 2, 4, 8, 14, 24, 40, 64, 100),
+    "1/2+z": (1, 2, 4, 8, 14, 24, 40, 64, 100),
+}
+PINNED_Z_BY_ORDER = {
+    5: (1, 2, 4, 8, 14, 22, 36, 56, 84),
+    7: (1, 2, 4, 8, 14, 24, 40, 62, 96),
+    8: (1, 2, 4, 8, 14, 24, 40, 64, 97),
+    9: (1, 2, 4, 8, 14, 24, 40, 64, 100),
+}
+
+
+def test_graded_dims_pinned_cyclotomic_prefixes():
+    for a, dims in PINNED_H_CLASS.items():
+        for n in (1, 2):
+            assert tuple(graded_dims(HClassModule(n, Scalar.parse(a, ORDER)), 8)) == dims, (a, n)
+    for order, dims in PINNED_Z_BY_ORDER.items():
+        assert tuple(graded_dims(HClassModule(1, Scalar.zeta(order)), 8)) == dims, order
+    assert tuple(graded_dims(GENERIC_Q, 8)) == tuple(2 ** n for n in range(9))
+
+
+def test_graded_dims_runs_in_the_least_cyclotomic_subring(monkeypatch):
+    # z^4 at N = 12 and z^3 at N = 9 are primitive cube roots of unity:
+    # the recursion runs over Z[zeta_6] and Z[zeta_3] (two planes) and
+    # gives the series of zeta_3 itself; z and 1/2 + z keep all of Z[zeta_12]
+    orders = []
+    kernel = linalg.primitive_echelon_rows
+
+    def record(a, order=1):
+        orders.append(order)
+        return kernel(a, order)
+
+    monkeypatch.setattr(linalg, "primitive_echelon_rows", record)
+    for a, order, used in (("z^4", 12, 6), ("z^3", 9, 3), ("z", 3, 3), ("z^2", 12, 6),
+                           ("z", 12, 12), ("1/2+z", 12, 12)):
+        orders.clear()
+        dims = graded_dims(HClassModule(1, Scalar.parse(a, order)), 7)
+        assert set(orders) == {used}, (a, order)
+        if used == 3:
+            assert tuple(dims) == PINNED_H_CLASS["z^4"][:8]
+
+
+def test_graded_dims_under_python_O():
+    # no assert statement guards the integer route: under -O the pinned
+    # prefixes and the field inverse come out the same
+    script = (
+        "from dinfnichols.field import Scalar\n"
+        "from dinfnichols.nichols import graded_dims\n"
+        "from dinfnichols.ydmod import HClassModule\n"
+        "for a in ('z', 'z^4'):\n"
+        "    print(a, tuple(graded_dims(HClassModule(1, Scalar.parse(a, 12)), 6)))\n"
+        "x = Scalar.parse('1/2+z-3z^3', 12)\n"
+        "print(x.inverse() * x == Scalar.one(12), x.inverse().inverse() == x)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [f"z {PINNED_H_CLASS['z'][:7]}",
+                                f"z^4 {PINNED_H_CLASS['z^4'][:7]}",
+                                "True True"]
 
 
 def test_graded_dims_degree8():
