@@ -53,6 +53,7 @@ from .ydmod import (
     diagonal_type,
     h_class,
     reflection_braid_check,
+    reflection_yd_check,
     yd_compat_check,
 )
 from .tables import braiding_table_check

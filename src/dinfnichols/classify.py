@@ -165,7 +165,7 @@ def classify(instance: FamilyInstance, cache: Optional[dict] = None) -> Verdict:
     except TypeError:
         raise EvidenceError(
             f"no classification rule applies to {instance.describe()}") from None
-    check = braiding_table_check(module, 1)
+    check = braiding_table_check(module)
     if not check.ok:
         w = check.witness
         raise EvidenceError(

@@ -95,7 +95,7 @@ def _cmd_braiding(args):
         for e in entries:
             print(f"c({e['left']} (x) {e['right']}) = "
                   f"({e['coeff']}) {e['out_left']} (x) {e['out_right']}")
-    check = braiding_table_check(m, args.window)
+    check = braiding_table_check(m)
     if not check.ok:
         print(f"closed-form table mismatch: {check.witness}", file=sys.stderr)
         return 1

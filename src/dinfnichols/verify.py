@@ -18,7 +18,16 @@ affine braiding c(u_j (x) u_k) = rho * u_(2j-k) (x) u_j on every pair of
 window labels, then composes that affine map symbolically, so the window
 bounds only the pairs compared with ``m.braid``.  The finite modules are
 checked on all their basis triples by ``ydmod.braid_equation_check``, which
-is complete for them.  The tables and yd suites check the window basis.
+is complete for them.
+
+The yd and tables suites prove their facts for the reflection modules for
+all indices and read no window: ``ydmod.reflection_yd_check`` and
+``tables.braiding_table_check`` run the module's own action and coaction
+on affine forms in the indices, and check ``m.act``, ``m.coact`` and
+``m.braid`` on the fixed labels ``ydmod.BREAK_LABELS`` around the label
+translation's break and the table's branch line.  A proof step that raises
+is a FAIL line with the exception as its witness.  The finite modules are
+checked on their whole basis.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .classify import ParamGrid, enumerate_families
 from .field import DEFAULT_ORDER, Scalar
 from .group import GroupElement
 from .repn import (
+    CheckResult,
     _corner_data,
     corner_square_check,
     idempotent_pair,
@@ -43,6 +53,7 @@ from .ydmod import (
     braid_equation_check,
     diagonal_type,
     reflection_braid_check,
+    reflection_yd_check,
     yd_compat_check,
 )
 
@@ -85,41 +96,51 @@ def braid_suite(window: int = 8, order: int = DEFAULT_ORDER) -> SuiteResult:
 
 
 def yd_suite(window: int = 8, order: int = DEFAULT_ORDER) -> SuiteResult:
+    """Three yd facts per sample module; ``window`` is unused.  The
+    reflection modules are proven for all indices by
+    ``ydmod.reflection_yd_check``, the finite ones checked on their basis."""
     res = SuiteResult()
-    g = GroupElement.g()
     for m in _sample_modules(order):
-        basis = m.basis_window(window)
-        # h-class modules act through <g, h^n>
-        rot = GroupElement.h(m.step)
-        ok = all(yd_compat_check(m, x, v) for x in (g, rot) for v in basis)
-        res.record(f"yd compatibility: {m!r}", ok)
-        ident = GroupElement.identity()
-        rel_ok = True
-        for v in basis:
-            gv = m.act(g, v)
-            ggv = [t2 for t1 in gv for t2 in _scaled_act(m, g, t1)]
-            # compare in canonical form: B(1) aliases a multiple of A(0)
-            # on the gh-class, and the identity action canonicalizes
-            if not _same_comb(ggv, [(t.coeff, t.vec) for t in m.act(ident, v)]):
-                rel_ok = False
-            ghgv = [t3
-                    for t1 in gv
-                    for t2 in _scaled_act(m, rot, t1)
-                    for t3 in _scaled_act(m, g, t2)]
-            hinv = [(t.coeff, t.vec) for t in m.act(rot.inverse(), v)]
-            if not _same_comb(ghgv, hinv):
-                rel_ok = False
-        res.record(f"relations g.(g.v)=v, g.(h.(g.v))=h^-1.v: {m!r}", rel_ok)
-        degs = {m.coact(v) for v in basis}
-        in_class = all(m.support.contains(d) for d in degs)
-        if m.dim is None:
-            expected = 2 * window + 1 if m.twist == 0 else 2 * window
-            count_ok = len(degs) == expected
+        if isinstance(m, ReflectionClassModule):
+            (compat, relations, degrees), distinct = reflection_yd_check(m), "all"
         else:
-            count_ok = len(degs) == (2 if m.dim == 2 and m.support.tag == "HPower" else 1)
-        res.record(f"coaction degrees lie in support and cover: {m!r}",
-                   in_class and count_ok, f"distinct={len(degs)}")
+            compat, relations, degrees, distinct = _finite_yd_checks(m)
+        res.record(f"yd compatibility: {m!r}", compat.ok, _failure(compat))
+        res.record(f"relations g.(g.v)=v, g.(h.(g.v))=h^-1.v: {m!r}", relations.ok,
+                   _failure(relations))
+        res.record(f"coaction degrees lie in support and cover: {m!r}", degrees.ok,
+                   _failure(degrees) or f"distinct={distinct}")
     return res
+
+
+def _failure(check: CheckResult) -> str:
+    return "" if check.ok or check.witness is None else str(check.witness)
+
+
+def _finite_yd_checks(m):
+    g, ident = GroupElement.g(), GroupElement.identity()
+    # h-class modules act through <g, h^n>
+    rot = GroupElement.h(m.step)
+    basis = m.basis()
+    compat = all(yd_compat_check(m, x, v) for x in (g, rot) for v in basis)
+    rel_ok = True
+    for v in basis:
+        gv = m.act(g, v)
+        ggv = [t2 for t1 in gv for t2 in _scaled_act(m, g, t1)]
+        if not _same_comb(ggv, [(t.coeff, t.vec) for t in m.act(ident, v)]):
+            rel_ok = False
+        ghgv = [t3
+                for t1 in gv
+                for t2 in _scaled_act(m, rot, t1)
+                for t3 in _scaled_act(m, g, t2)]
+        hinv = [(t.coeff, t.vec) for t in m.act(rot.inverse(), v)]
+        if not _same_comb(ghgv, hinv):
+            rel_ok = False
+    degs = {m.coact(v) for v in basis}
+    in_class = all(m.support.contains(d) for d in degs)
+    count_ok = len(degs) == (2 if m.dim == 2 and m.support.tag == "HPower" else 1)
+    return (CheckResult(compat), CheckResult(rel_ok), CheckResult(in_class and count_ok),
+            len(degs))
 
 
 def _scaled_act(m, x, term):
@@ -138,12 +159,14 @@ def _same_comb(terms_a, terms_b) -> bool:
 
 
 def tables_suite(window: int = 8, order: int = DEFAULT_ORDER) -> SuiteResult:
+    """``window`` is unused: ``tables.braiding_table_check`` proves the
+    reflection tables for all indices and checks the finite ones on their
+    whole basis."""
     res = SuiteResult()
     mods = _sample_modules(order)
     for m in mods:
-        check = braiding_table_check(m, window)
-        res.record(f"closed-form table: {m!r} window={window}", check.ok,
-                   "" if check.ok else str(check.witness))
+        check = braiding_table_check(m)
+        res.record(f"closed-form table: {m!r}", check.ok, _failure(check))
     for m in mods:
         if m.dim is not None:
             res.record(f"diagonal type exists: {m!r}", diagonal_type(m) is not None)

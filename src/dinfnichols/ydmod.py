@@ -24,9 +24,12 @@ and differ only in their matrices, degrees and step.
 The braiding is always c(v (x) w) = deg(v).w (x) v, computed from the
 coaction followed by the action; the closed-form tables live in
 ``tables.py`` and are checked against this composition, never trusted.
-On the coset basis that braiding is affine in the indices, which lets
-:func:`reflection_braid_check` prove the braid equation of both reflection
-families for all indices.
+On the coset basis the action, the coaction and so the braiding are
+affine in the index.  The reflection modules compute them once, in two
+helpers that run on ints and on :class:`Affine` forms alike, which lets
+:func:`reflection_braid_check` prove the braid equation and
+:func:`reflection_yd_check` the yd facts of both reflection families for
+all indices.
 
 Each braiding is cheap to compute:
 
@@ -45,6 +48,7 @@ fixed by its matrices and live as long as the module.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -162,6 +166,61 @@ class BraidTerm:
 
     def __str__(self):
         return f"({self.coeff})*{self.left}(x){self.right}"
+
+
+class Affine:
+    """An integer affine form c_1 x_1 + ... + c_n x_n + c in the variables
+    named by the letters of ``names``, kept as the row (c_1, ..., c_n, c).
+
+    It has the index arithmetic of the reflection action and coaction:
+    adding an int or a form, negating, scaling by an int.  Those run on
+    forms unchanged, and equal forms are equal for every value of the
+    variables.  Any other use, such as an order comparison or a truth
+    test, raises TypeError.
+    """
+
+    __slots__ = ("names", "row")
+
+    def __init__(self, names: str, row: tuple):
+        self.names, self.row = names, row
+
+    @classmethod
+    def variables(cls, names: str) -> list["Affine"]:
+        n = len(names)
+        return [cls(names, tuple(int(i == j) for j in range(n + 1))) for i in range(n)]
+
+    def __add__(self, other):
+        if isinstance(other, Affine):
+            return Affine(self.names, tuple(map(operator.add, self.row, other.row)))
+        return Affine(self.names, self.row[:-1] + (self.row[-1] + operator.index(other),))
+
+    __radd__ = __add__
+
+    def __mul__(self, n):
+        return Affine(self.names, tuple(map(operator.index(n).__mul__, self.row)))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Affine(self.names, tuple(map(operator.neg, self.row)))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __eq__(self, other):
+        return isinstance(other, Affine) and self.row == other.row
+
+    def __bool__(self):
+        raise TypeError("an affine form has no truth value")
+
+    def __str__(self):
+        *coeffs, c = self.row
+        text = "".join(f"{'-' if a < 0 else '+'}{abs(a) if abs(a) != 1 else ''}{x}"
+                       for a, x in zip(coeffs, self.names) if a)
+        return (text + (f"{c:+d}" if c or not text else "")).lstrip("+")
 
 
 class YDModule:
@@ -299,7 +358,8 @@ class ReflectionClassModule(YDModule):
 
     A signed label is kept internally as rho^s * u_k, the pair (s, k) of a
     sign bit and a coset index; rho^2 = 1, so the action flips s and the
-    coefficient is read from the two units (1, rho).
+    coefficient is read from the two units (1, rho).  ``act`` and ``coact``
+    are ``_act_pair`` and ``_degree`` on that pair.
     """
 
     twist: int
@@ -311,8 +371,7 @@ class ReflectionClassModule(YDModule):
         self.order = order
         one = Scalar.one(order)
         self.rho_sign = 1 if rep == EPS else -1
-        self.signs = {1: one, -1: -one}     # the scalars +1 and -1, by int sign
-        self.rho = self.signs[self.rho_sign]
+        self.rho = one if rep == EPS else -one
         self._units = (one, self.rho)       # rho^s, by sign bit s
         self.dim = None
 
@@ -328,31 +387,42 @@ class ReflectionClassModule(YDModule):
     def basis(self):
         raise ValueError(f"{self!r} is infinite dimensional; use basis_window")
 
-    # label <-> internal (s, k): the label is rho^s * u_k
+    # label <-> internal (s, k): the label is rho^s * u_k.  The one break,
+    # k >= 0, is in _from_internal; _to_internal also takes Affine indices.
 
-    def _to_internal(self, v: BasisVector) -> tuple[int, int]:
-        if v.kind == "a":
-            return 0, v.index
-        return 1, self.twist - v.index
+    def _to_internal(self, kind: str, index):
+        if kind == "a":
+            return 0, index
+        return 1, self.twist - index
 
-    def _from_internal(self, s: int, k: int) -> SignedVector:
+    def _from_internal(self, s: int, k: int) -> tuple[Scalar, BasisVector]:
         if k >= 0:
-            return SignedVector(self._units[s], A(k))
-        return SignedVector(self._units[s ^ 1], B(self.twist - k))
+            return self._units[s], A(k)
+        return self._units[s ^ 1], B(self.twist - k)
+
+    # the action and coaction on (s, k); they branch on no index, so the
+    # proofs run them on Affine forms
+
+    def _act_pair(self, r: int, e, s: int, k):
+        """g^r h^e . (s, k) = (s xor r, (-1)^r (k + e) + r t)."""
+        k += e
+        if r:
+            return s ^ 1, self.twist - k
+        return s, k
+
+    def _degree(self, k) -> GroupElement:
+        """deg u_k = g h^(t - 2k)."""
+        return GroupElement(1, self.twist - 2 * k)
 
     def act(self, x, v):
         self._require(v)
-        s, k = self._to_internal(v)
-        k += x.exponent
-        if x.reflection:
-            s ^= 1
-            k = self.twist - k
-        return (self._from_internal(s, k),)
+        s, k = self._to_internal(v.kind, v.index)
+        return (SignedVector(*self._from_internal(
+            *self._act_pair(x.reflection, x.exponent, s, k))),)
 
     def coact(self, v):
         self._require(v)
-        _, k = self._to_internal(v)
-        return GroupElement(1, self.twist - 2 * k)
+        return self._degree(self._to_internal(v.kind, v.index)[1])
 
 
 class GClassModule(ReflectionClassModule):
@@ -490,19 +560,18 @@ def _affine_braid_sides(braid) -> tuple:
     """Both sides of the braid equation, slots 1, 2, 1 and 2, 1, 2, for the
     affine braiding ``braid`` on the generic word u_i (x) u_j (x) u_k.
 
-    Each slot index is kept as an integer row over (i, j, k, 1), so equal
-    sides are an identity in i, j and k, not a sample of them.  Every braid
-    contributes the one factor rho whatever the indices, so both sides
-    carry rho^3 and only the rows are returned.
+    Each slot index is kept as an Affine form in i, j, k and returned as
+    its row over (i, j, k, 1), so equal sides are an identity in i, j and
+    k, not a sample of them.  Every braid contributes the one factor rho
+    whatever the indices, so both sides carry rho^3 and only the rows are
+    returned.
     """
     def compose(slots):
-        rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+        word = Affine.variables("ijk")
         for s in slots:
-            cols = list(zip(rows[s - 1], rows[s], (0, 0, 0, 1)))
-            new = tuple(tuple(a * x + b * y + c * z for x, y, z in cols)
-                        for a, b, c in braid)
-            rows = rows[:s - 1] + new + rows[s + 1:]
-        return rows
+            x, y = word[s - 1:s + 1]
+            word[s - 1:s + 1] = [a * x + b * y + c for a, b, c in braid]
+        return tuple(form.row for form in word)
 
     return compose((1, 2, 1)), compose((2, 1, 2))
 
@@ -529,19 +598,105 @@ def reflection_braid_check(m: ReflectionClassModule, window: int) -> CheckResult
     """
     if not isinstance(m, ReflectionClassModule):
         raise ValueError(f"{m!r} is not a reflection-class module")
-    labels = [(v, *m._to_internal(v)) for v in m.basis_window(window)]
+    labels = [(v, *m._to_internal(v.kind, v.index)) for v in m.basis_window(window)]
     targets = [(w, s ^ 1, k) for w, s, k in labels]     # the sign bit of s_w rho
     for v, _, j in labels:
         for w, s, k in targets:
-            sv = m._from_internal(s, 2 * j - k)
-            expected = BraidTerm(sv.coeff, sv.vec, v)
             t = m.braid(v, w)
-            if t != expected:
-                return CheckResult(False, ((v, w), str(t), str(expected)))
+            coeff, left = m._from_internal(s, 2 * j - k)
+            if t.coeff != coeff or t.left != left or t.right != v:
+                return CheckResult(False, ((v, w), str(t), str(BraidTerm(coeff, left, v))))
     lhs, rhs = _affine_braid_sides(REFLECTION_BRAID)
     if lhs != rhs:
         return CheckResult(False, (lhs, rhs))
     return CheckResult(True)
+
+
+# Each kind's first three labels.  They lie on both sides of the one break
+# of the label translation (u_0 = a_0, u_-1 = rho b_(t+1)), take in the
+# gh-class alias b_1 = rho a_0, and as pairs lie on both sides of the
+# closed-form table's branch line 2m - n = t for either twist.
+BREAK_LABELS = (A(0), A(1), A(2), B(1), B(2), B(3))
+
+
+def reported(proof, *args) -> CheckResult:
+    """``proof(*args)``, with any exception it raises returned as its
+    failure: the module under proof runs inside it, and a corrupted one
+    may raise, e.g. by branching on an index it is given as an Affine
+    form."""
+    try:
+        return proof(*args)
+    except Exception as exc:
+        return CheckResult(False, f"{type(exc).__name__}: {exc}")
+
+
+def _yd_compat_proof(m: ReflectionClassModule, k: Affine) -> CheckResult:
+    g, h = GroupElement.g(), GroupElement.h()
+    for v in BREAK_LABELS:
+        s, j = m._to_internal(v.kind, v.index)
+        if m.coact(v) != m._degree(j):
+            return CheckResult(False, (f"deg {v}", str(m.coact(v)), str(m._degree(j))))
+        for x in (g, h, h.inverse()):
+            got = m.act(x, v)
+            want = SignedVector(*m._from_internal(
+                *m._act_pair(x.reflection, x.exponent, s, j)))
+            if got != (want,):
+                return CheckResult(False, (f"{x}.{v}", " + ".join(map(str, got)), str(want)))
+    for x in (g, h):
+        want = x.conjugate(m._degree(k))
+        for s in (0, 1):
+            got = m._degree(m._act_pair(x.reflection, x.exponent, s, k)[1])
+            if got != want:
+                return CheckResult(False, (f"deg({x}.u_k)", str(got), str(want)))
+    return CheckResult(True)
+
+
+def _relations_proof(m: ReflectionClassModule, k: Affine) -> CheckResult:
+    for v in ((0, k), (1, k)):
+        gv = m._act_pair(1, 0, *v)
+        for name, got, want in (
+                ("g.(g.v)", m._act_pair(1, 0, *gv), v),
+                ("g.(h.(g.v))", m._act_pair(1, 0, *m._act_pair(0, 1, *gv)),
+                 m._act_pair(0, -1, *v))):
+            if got != want:
+                spelled = [f"rho^{s} u_({i})" for s, i in (v, got, want)]
+                return CheckResult(False, (f"{name}, v = {spelled[0]}", *spelled[1:]))
+    return CheckResult(True)
+
+
+def _degrees_proof(m: ReflectionClassModule, k: Affine) -> CheckResult:
+    # k -> c + a k maps Z onto c + 2Z when a = +-2, and the reflections
+    # g h^e with e = c mod 2 are exactly the class of g h^c
+    deg = m._degree(k)
+    (a, c) = deg.exponent.row
+    if deg.reflection != 1 or abs(a) != 2 or not m.support.contains(GroupElement(1, c)):
+        return CheckResult(False, f"deg u_k = {deg} does not run over {m.support}")
+    return CheckResult(True)
+
+
+def reflection_yd_check(m: ReflectionClassModule) -> tuple[CheckResult, ...]:
+    """The yd facts of a g-class or gh-class module, for all indices:
+    yd compatibility, the relations g^2 = 1 and g h g = h^-1, and that
+    the coaction degrees are exactly the support class.
+
+    Each fact is proven on the module's own action and coaction on
+    (s, k), ``_act_pair`` and ``_degree``, run on the Affine form k:
+
+    * deg(x.u_k) = x deg(u_k) x^-1 for x = g, h, as group elements with
+      exponents affine in k; before that, ``m.act`` for x = g, h, h^-1
+      and ``m.coact`` are checked to be those helpers on BREAK_LABELS;
+    * g.(g.v) = v and g.(h.(g.v)) = h^-1.v, as compositions;
+    * deg u_k = g h^(c + a k) with a = +-2 and g h^c in the class.
+
+    Returns the three results in that order; a witness names the label,
+    the relation or the degree map, or is the text of an exception the
+    module raised.  Finite families are rejected.
+    """
+    if not isinstance(m, ReflectionClassModule):
+        raise ValueError(f"{m!r} is not a reflection-class module")
+    (k,) = Affine.variables("k")
+    return tuple(reported(proof, m, k)
+                 for proof in (_yd_compat_proof, _relations_proof, _degrees_proof))
 
 
 def diagonal_type(m: YDModule):

@@ -102,17 +102,17 @@ def test_criterion_1_braid_equation_suite():
 
 def test_criterion_2_braiding_table_fidelity():
     for m in (GClassModule("sign"), GClassModule("eps"), GhClassModule("sign"), GhClassModule("eps")):
-        check = braiding_table_check(m, 8)
+        check = braiding_table_check(m)
         assert check.ok, f"table mismatch witness: {check.witness}"
     for n in (1, 2):
         for a in A_VALUES:
             m = HClassModule(n, a)
-            assert braiding_table_check(m, 8).ok
+            assert braiding_table_check(m).ok
             assert diagonal_type(m) == [[a, a ** -1], [a ** -1, a]]
     one = Scalar.one(ORDER)
     for label in ("s0+", "s0-"):
         m = one_class_module(label, rat(0))
-        assert braiding_table_check(m, 8).ok
+        assert braiding_table_check(m).ok
         assert diagonal_type(m) == [[one, one], [one, one]]
     print("PASS criterion 2: closed-form tables match act/coact composition "
           "on window 8; braiding matrices as stated")

@@ -224,7 +224,7 @@ def _move_x1(v, t):
 def test_corrupted_finite_family_is_caught(corrupt, pair, a_str):
     a = Scalar.parse(a_str, 12)
     m = CorruptedHClass(1, a, corrupt)
-    check = braiding_table_check(m, 1)
+    check = braiding_table_check(m)
     assert not check.ok
     assert check.witness.pair == pair
     assert check.witness.computed != check.witness.expected

@@ -135,7 +135,7 @@ def test_closed_form_q_reads_the_stored_inverse(monkeypatch):
 
     monkeypatch.setattr(Scalar, "inverse", no_inverse)
     assert closed_form_q(m) == [[a, m.a_inv], [m.a_inv, a]]
-    assert braiding_table_check(m, 1).ok
+    assert braiding_table_check(m).ok
 
 
 def test_one_class_action_tables():
@@ -188,8 +188,3 @@ def test_canonicalize_aliases():
     assert vec == A(0) and coeff == -Scalar.one(ORDER)
     with pytest.raises(ValueError):
         canonicalize(mg, (1, "a", -2))
-
-
-def test_window_check_rejects_bad_window():
-    with pytest.raises(ValueError):
-        braiding_table_check(GClassModule("sign"), 0)

@@ -12,7 +12,7 @@ from dinfnichols.field import Scalar
 from dinfnichols.group import GroupElement, conj_class_of
 from dinfnichols.linalg import identity, mat_mul
 from dinfnichols.repn import simple_modules
-from dinfnichols import tables
+from dinfnichols import tables, verify
 from dinfnichols.tables import braiding_table_check
 from dinfnichols.verify import _sample_modules
 from dinfnichols.ydmod import (
@@ -25,6 +25,7 @@ from dinfnichols.ydmod import (
     HClassModule,
     OneClassModule,
     REFLECTION_BRAID,
+    Affine,
     ReflectionClassModule,
     SignedVector,
     V1,
@@ -36,6 +37,7 @@ from dinfnichols.ydmod import (
     braid_word_at,
     diagonal_type,
     reflection_braid_check,
+    reflection_yd_check,
     yd_compat_check,
 )
 
@@ -539,8 +541,8 @@ def test_reflection_braid_check_braids_each_window_pair_once(window):
     assert set(m.braided) == set(itertools.product(m.basis_window(window), repeat=2))
 
 
-def test_reflection_braid_check_catches_corrupt_action(monkeypatch):
-    # rho dropped on b-labels: a no-op for eps (rho = 1), wrong for sign
+def _drop_rho_on_b(monkeypatch):
+    """rho dropped on b-labels: a no-op for eps (rho = 1), wrong for sign."""
     true_act = ReflectionClassModule.act
 
     def corrupted(self, x, v):
@@ -550,6 +552,24 @@ def test_reflection_braid_check_catches_corrupt_action(monkeypatch):
         return (t,)
 
     monkeypatch.setattr(ReflectionClassModule, "act", corrupted)
+
+
+def _shift_coaction(monkeypatch):
+    """deg u_k = g h^(t-2k+1): outside the class, and no longer yd."""
+    monkeypatch.setattr(ReflectionClassModule, "_degree",
+                        lambda self, k: GroupElement(1, self.twist - 2 * k + 1))
+
+
+def _shift_bb_piece(monkeypatch):
+    """The table's bb piece for 2m - n >= t with its index shifted by +1:
+    on the gh-class the entries (b_m, b_n) with n <= 2m - 1."""
+    monkeypatch.setattr(tables, "REFLECTION_TABLE", tuple(
+        piece[:4] + (piece[4][:3] + (piece[4][3] + 1,),) if piece[:2] == ("bb", False)
+        else piece for piece in tables.REFLECTION_TABLE))
+
+
+def test_reflection_braid_check_catches_corrupt_action(monkeypatch):
+    _drop_rho_on_b(monkeypatch)
     for m in _reflection_modules():
         check = reflection_braid_check(m, 8)
         assert check.ok is (m.rep == "eps")
@@ -612,31 +632,157 @@ def test_diagonal_type():
 
 def test_braiding_tables_window8():
     for m in all_infinite_modules():
-        check = braiding_table_check(m, 8)
+        check = braiding_table_check(m)
         assert check.ok, check.witness
 
 
 def test_braiding_tables_finite():
     for m in all_finite_modules():
-        assert braiding_table_check(m, 1).ok
+        assert braiding_table_check(m).ok
 
 
 def test_table_check_reports_perturbed_table(monkeypatch):
     # shift the second bb-branch index by +1; the checker must catch it
     m = GhClassModule("sign")
-    good = tables.reflection_table(1, -1)
-
-    def perturbed(v, w):
-        sign, kind, index = good(v, w)
-        if v.kind == "b" and w.kind == "b" and w.index <= 2 * v.index - 1:
-            return (sign, kind, index + 1)
-        return (sign, kind, index)
-
-    monkeypatch.setattr(tables, "reflection_table", lambda twist, rep_sign: perturbed)
-    check = braiding_table_check(m, 8)
+    _shift_bb_piece(monkeypatch)
+    check = braiding_table_check(m)
     assert not check.ok
     assert check.witness is not None
     assert check.witness.computed != check.witness.expected
+    assert check.witness.pair == ("b_m", "b_n", "2m-n>=1")
+
+
+# The window checks the yd and tables suites ran before their proofs, kept
+# as the oracle of those proofs.
+
+def _window_yd_checks(m, window):
+    """(yd compatibility, relations, coaction coverage) on the window."""
+    ident = GroupElement.identity()
+    basis = m.basis_window(window)
+    compat = all(yd_compat_check(m, x, v) for x in (g, h) for v in basis)
+    relations = True
+    for v in basis:
+        (gv,) = m.act(g, v)
+        (ggv,) = m.act(g, gv.vec)
+        (canon,) = m.act(ident, v)
+        (hgv,) = m.act(h, gv.vec)
+        (ghgv,) = m.act(g, hgv.vec)
+        (hinv,) = m.act(h.inverse(), v)
+        relations &= (gv.coeff * ggv.coeff, ggv.vec) == (canon.coeff, canon.vec)
+        relations &= (gv.coeff * hgv.coeff * ghgv.coeff, ghgv.vec) == (hinv.coeff, hinv.vec)
+    degs = {m.coact(v) for v in basis}
+    # the gh-class window has one degree fewer: b1 shares a0's
+    cover = all(m.support.contains(d) for d in degs) and len(degs) == 2 * window + 1 - m.twist
+    return compat, relations, cover
+
+
+def _window_table_check(m, window):
+    """m.braid against the canonicalized closed form on every window pair."""
+    table = tables.reflection_table(m.twist, m.rho_sign)
+    for v, w in itertools.product(m.basis_window(window), repeat=2):
+        t = m.braid(v, w)
+        if (t.coeff, t.left, t.right) != (*tables.canonicalize(m, table(v, w)), v):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("order", [5, 7, 12])
+def test_yd_and_table_proofs_agree_with_window_checks(order):
+    for m in _reflection_modules(order):
+        proofs = (all(reflection_yd_check(m)), braiding_table_check(m).ok)
+        assert proofs == (True, True), m
+        for window in range(1, 9):
+            assert (all(_window_yd_checks(m, window)), _window_table_check(m, window)) == proofs
+
+
+@pytest.mark.parametrize("mutate", [_drop_rho_on_b, _shift_coaction, _shift_bb_piece])
+def test_yd_and_table_proofs_agree_with_window_checks_on_mutations(monkeypatch, mutate):
+    # from window 2 on: at window 1 the window checks miss the gh-class
+    # sign module's dropped rho, which the proofs see on BREAK_LABELS
+    mutate(monkeypatch)
+    for m in _reflection_modules():
+        proofs = (all(reflection_yd_check(m)), braiding_table_check(m).ok)
+        for window in range(2, 9):
+            assert (all(_window_yd_checks(m, window)), _window_table_check(m, window)) == proofs
+
+
+def test_yd_and_table_proofs_name_the_mutated_label_or_piece(monkeypatch):
+    with monkeypatch.context() as patch:
+        _drop_rho_on_b(patch)
+        for m in _reflection_modules():
+            compat, _, _ = reflection_yd_check(m)
+            table = braiding_table_check(m)
+            assert compat.ok is table.ok is (m.rep == "eps")
+            if m.rep == "sign":
+                assert compat.witness[0].split(".")[1].startswith("b")
+                assert any(label.startswith("b") for label in table.witness.pair)
+    with monkeypatch.context() as patch:
+        _shift_coaction(patch)
+        for m in _reflection_modules():
+            compat, relations, degrees = reflection_yd_check(m)
+            assert not compat.ok and relations.ok and not degrees.ok
+            assert compat.witness[0] == "deg(g.u_k)"
+            assert degrees.witness.startswith(f"deg u_k = g h^-2k+{m.twist + 1} ")
+            assert braiding_table_check(m).witness.pair == ("a_m", "b_n", "all m, n")
+    with monkeypatch.context() as patch:
+        _shift_bb_piece(patch)
+        for m in _reflection_modules():
+            assert all(reflection_yd_check(m))
+            assert braiding_table_check(m).witness.pair == ("b_m", "b_n", f"2m-n>={m.twist}")
+
+
+@pytest.mark.parametrize("mutate", [_drop_rho_on_b, _shift_coaction, _shift_bb_piece])
+def test_yd_and_tables_suites_fail_on_mutations(monkeypatch, mutate):
+    mutate(monkeypatch)
+    failed = verify.yd_suite(window=3).failed + verify.tables_suite(window=3).failed
+    assert failed > 0
+
+
+def test_yd_and_table_proofs_report_a_raising_module(monkeypatch):
+    # right on every int, but it compares the index it is given with 0,
+    # which raises on an Affine form: a FAIL line, never a traceback
+    true_act_pair = ReflectionClassModule._act_pair
+
+    def branching(self, r, e, s, k):
+        return true_act_pair(self, r, e, s, k if k >= 0 else k)
+
+    monkeypatch.setattr(ReflectionClassModule, "_act_pair", branching)
+    for suite, n_failed in ((verify.yd_suite, 8), (verify.tables_suite, 4)):
+        res = suite(window=3)
+        failures = [line for line in res.lines if line.startswith("[FAIL] ")]
+        assert res.failed == len(failures) == n_failed
+        assert all("TypeError: '>=' not supported" in line for line in failures)
+
+
+def test_yd_and_table_proofs_report_under_optimize():
+    # the proofs report through their results, never an assert: python -O
+    # must still see a corrupted coaction
+    script = (
+        "from dinfnichols.group import GroupElement\n"
+        "from dinfnichols.tables import braiding_table_check\n"
+        "from dinfnichols.ydmod import GhClassModule, ReflectionClassModule, reflection_yd_check\n"
+        "m = GhClassModule('sign')\n"
+        "print(all(reflection_yd_check(m)), braiding_table_check(m).ok)\n"
+        "ReflectionClassModule._degree = lambda self, k: GroupElement(1, self.twist - 2 * k + 1)\n"
+        "print([c.ok for c in reflection_yd_check(m)], braiding_table_check(m).witness.pair)\n")
+    r = subprocess.run([sys.executable, "-O", "-B", "-c", script],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "True True\n[False, True, False] ('a_m', 'b_n', 'all m, n')\n"
+
+
+def test_affine_forms():
+    m, n = Affine.variables("mn")
+    assert 2 * m - n + 1 == Affine("mn", (2, -1, 1)) and 1 - m != 1 - n
+    assert (str(1 - 2 * m), str(n - 3), str(m - m)) == ("-2m+1", "n-3", "0")
+    for misuse in (lambda: m < 0, lambda: bool(m), lambda: m + 0.5, lambda: m * n):
+        with pytest.raises(TypeError):
+            misuse()
+
+
+def test_reflection_yd_check_rejects_finite_modules():
+    with pytest.raises(ValueError):
+        reflection_yd_check(HClassModule(1, rat(2)))
 
 
 def test_one_class_requires_axiom_pass():
