@@ -158,7 +158,7 @@ def _cmd_classify(args):
 
 def _cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    res = run_suites(names, window=args.window, order=args.zeta_order)
+    res = run_suites(names, order=args.zeta_order)
     for line in res.lines:
         print(line)
     print(f"{len(res.lines) - res.failed}/{len(res.lines)} checks passed")
@@ -220,7 +220,8 @@ def _add_verify(sub):
     _add_zeta(p)
     p.add_argument("--suite", default="all",
                    choices=sorted(SUITES) + ["all"])
-    p.add_argument("--window", type=int, default=8)
+    p.add_argument("--window", type=int, default=8,
+                   help="accepted for older scripts; no suite reads it, so it changes no output")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for older scripts; no suite samples, so it "
                         "changes no output")

@@ -8,7 +8,7 @@ candidates for each lambda, and exact checkers for the dihedral module
 axioms, irreducibility (Burnside span) and isomorphism of small modules.
 
 Two finite checks prove the arithmetic for all inputs: ``structure_check``
-(unit, the 64 basis triples associate, the defining relations) makes
+(unit, the 32 generator triples associate, the defining relations) makes
 ``reduce_word`` right for every word, and ``corner_square_check`` (the
 squares of the corner basis) gives the corner power identity for every n.
 
@@ -223,9 +223,13 @@ def structure_check(lam: Scalar) -> CheckResult:
     ``alambda_multiply`` is bilinear by construction, so finite checks on the
     basis (1, g, h, gh) decide it:
 
-    * b_0 = 1 is a two-sided unit, and the 64 basis triples associate.  Then
-      the table is an associative algebra with 1, and every bracketing of a
-      word, the left fold of ``reduce_word`` included, gives one element.
+    * b_0 = 1 is a two-sided unit, and (x*y)*z = x*(y*z) for x in {g, h}
+      and basis y, z: 32 triples.  The x that associate with all y, z form
+      a subspace S (bilinearity) holding 1, g and h; for a in {g, h} and x
+      in S, ((a*x)*y)*z = (a*(x*y))*z = a*((x*y)*z) = a*(x*(y*z)) = (a*x)*(y*z),
+      so S holds g*h = gh (a relation below): S is A_lambda, an associative
+      algebra with 1, where every bracketing of a word, the left fold of
+      ``reduce_word`` included, gives one element.
     * g h = gh, g^2 = 1, (gh)^2 = 1 and h h^-1 = h^-1 h = 1 with
       h^-1 = lambda - h.  Then g, h extend to a homomorphism from k D_inf
       that sends h + h^-1 to lambda and reaches 1, g, h, gh: the table is a
@@ -240,7 +244,7 @@ def structure_check(lam: Scalar) -> CheckResult:
     for i, name in enumerate(_BASIS_NAMES):
         if prod[0, i] != b[i] or prod[i, 0] != b[i]:
             return CheckResult(False, f"1 is not a two-sided unit for {name}")
-    for i, j, k in iter_product(range(4), repeat=3):
+    for i, j, k in iter_product((1, 2), range(4), range(4)):
         left, right = prod[i, j] * b[k], b[i] * prod[j, k]
         if left != right:
             x, y, z = (_BASIS_NAMES[t] for t in (i, j, k))

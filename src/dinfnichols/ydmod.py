@@ -26,10 +26,10 @@ coaction followed by the action; the closed-form tables live in
 ``tables.py`` and are checked against this composition, never trusted.
 On the coset basis the action, the coaction and so the braiding are
 affine in the index.  The reflection modules compute them once, in two
-helpers that run on ints and on :class:`Affine` forms alike, which lets
-:func:`reflection_braid_check` prove the braid equation and
-:func:`reflection_yd_check` the yd facts of both reflection families for
-all indices.
+helpers that run on ints and on :class:`Affine` forms alike: the proofs
+:func:`reflection_braid_check` and :func:`reflection_yd_check` run them for
+all indices, and compare ``act``, ``coact`` and ``braid`` with them on the
+fixed labels ``BREAK_LABELS``, not on a window.
 
 Each braiding is cheap to compute:
 
@@ -576,42 +576,6 @@ def _affine_braid_sides(braid) -> tuple:
     return compose((1, 2, 1)), compose((2, 1, 2))
 
 
-def reflection_braid_check(m: ReflectionClassModule, window: int) -> CheckResult:
-    """The braid equation of a g-class or gh-class module, for all indices.
-
-    coact(u_j) = g h^(t-2j) sends u_k to rho * u_(t-(k+t-2j)), so both
-    families braid as c(u_j (x) u_k) = rho * u_(2j-k) (x) u_j on the coset
-    basis: the twist t cancels.  The check has two parts:
-
-    1. on every pair (v, w) of window labels, with v = s_v u_j and
-       w = s_w u_k, ``m.braid(v, w)`` is (s_w rho) * label(u_(2j-k)) (x) v.
-       Each pair is braided once; the gh-class alias b_1 = rho * a_0 is
-       one of the pairs' labels.
-    2. composed symbolically over (i, j, k, 1), that affine braiding gives
-       rho^3 * u_(2i-2j+k) (x) u_(2i-j) (x) u_i on both sides of the braid
-       equation, for every index triple.
-
-    The witness is the first pair of part 1 that differs, as
-    ((v, w), braided, expected), or the two composed sides of part 2.
-    Finite families are rejected: ``braid_equation_check`` over their
-    basis triples is already complete for them.
-    """
-    if not isinstance(m, ReflectionClassModule):
-        raise ValueError(f"{m!r} is not a reflection-class module")
-    labels = [(v, *m._to_internal(v.kind, v.index)) for v in m.basis_window(window)]
-    targets = [(w, s ^ 1, k) for w, s, k in labels]     # the sign bit of s_w rho
-    for v, _, j in labels:
-        for w, s, k in targets:
-            t = m.braid(v, w)
-            coeff, left = m._from_internal(s, 2 * j - k)
-            if t.coeff != coeff or t.left != left or t.right != v:
-                return CheckResult(False, ((v, w), str(t), str(BraidTerm(coeff, left, v))))
-    lhs, rhs = _affine_braid_sides(REFLECTION_BRAID)
-    if lhs != rhs:
-        return CheckResult(False, (lhs, rhs))
-    return CheckResult(True)
-
-
 # Each kind's first three labels.  They lie on both sides of the one break
 # of the label translation (u_0 = a_0, u_-1 = rho b_(t+1)), take in the
 # gh-class alias b_1 = rho a_0, and as pairs lie on both sides of the
@@ -628,6 +592,53 @@ def reported(proof, *args) -> CheckResult:
         return proof(*args)
     except Exception as exc:
         return CheckResult(False, f"{type(exc).__name__}: {exc}")
+
+
+def _braid_proof(m: ReflectionClassModule, j: Affine, k: Affine) -> CheckResult:
+    deg = m._degree(j)
+    composed = Affine(j.names, REFLECTION_BRAID[0])       # 2j - k
+    for s in (0, 1):
+        got = m._act_pair(deg.reflection, deg.exponent, s, k)
+        if got != (s ^ 1, composed):
+            spelled = [f"rho^{t} u_({i})" for t, i in ((s, k), got, (s ^ 1, composed))]
+            return CheckResult(False, (f"deg(u_j).{spelled[0]}", *spelled[1:]))
+    labels = [(v, *m._to_internal(v.kind, v.index)) for v in BREAK_LABELS]
+    for v, _, jv in labels:
+        for w, sw, kw in labels:
+            t = m.braid(v, w)
+            coeff, left = m._from_internal(sw ^ 1, 2 * jv - kw)    # the sign bit of s_w rho
+            if t.coeff != coeff or t.left != left or t.right != v:
+                return CheckResult(False, ((v, w), str(t), str(BraidTerm(coeff, left, v))))
+    lhs, rhs = _affine_braid_sides(REFLECTION_BRAID)
+    if lhs != rhs:
+        return CheckResult(False, (lhs, rhs))
+    return CheckResult(True)
+
+
+def reflection_braid_check(m: ReflectionClassModule) -> CheckResult:
+    """The braid equation of a g-class or gh-class module, for all indices.
+
+    coact(u_j) = g h^(t-2j) sends u_k to rho * u_(t-(k+t-2j)), so both
+    families braid as c(u_j (x) u_k) = rho * u_(2j-k) (x) u_j on the coset
+    basis (REFLECTION_BRAID; the twist t cancels).  The check proves:
+
+    1. that identity in the indices: ``_act_pair`` of ``_degree(j)`` on
+       (s, k), the helpers ``act`` and ``coact`` run, is (s xor 1, 2j - k)
+       on the Affine forms j and k, for s = 0, 1;
+    2. ``m.braid(v, w)`` = (s_w rho) * label(u_(2j-k)) (x) v for the 36
+       pairs v = s_v u_j, w = s_w u_k of BREAK_LABELS, each braided once;
+    3. composed over (i, j, k, 1), that braiding gives
+       rho^3 * u_(2i-2j+k) (x) u_(2i-j) (x) u_i on both sides of the braid
+       equation.
+
+    The witness is (name, got, expected) with the composed index of part 1,
+    ((v, w), braided, expected) for part 2, the two sides of part 3, or an
+    exception's text.  Finite families are rejected: ``braid_equation_check``
+    over their basis triples is complete for them.
+    """
+    if not isinstance(m, ReflectionClassModule):
+        raise ValueError(f"{m!r} is not a reflection-class module")
+    return reported(_braid_proof, m, *Affine.variables("jk"))
 
 
 def _yd_compat_proof(m: ReflectionClassModule, k: Affine) -> CheckResult:

@@ -232,9 +232,9 @@ def test_verify_window8_suite_matches_pinned(capsys, suite):
     assert out == pinned.read_text()
 
 
-@pytest.mark.parametrize("suite", ["yd", "tables"])
+@pytest.mark.parametrize("suite", ["braid", "yd", "tables", "alambda", "all"])
 def test_verify_yd_and_tables_do_not_depend_on_window(capsys, suite):
-    # both suites are proven for all indices; --window changes no line
+    # every suite is proven for all indices or finite; --window changes no line
     outs = {run_cli(capsys, "verify", "--suite", suite, "--window", w) for w in ("1", "3", "8")}
     assert len(outs) == 1 and outs.pop()[0] == 0
 

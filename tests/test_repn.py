@@ -234,6 +234,38 @@ def test_structure_check_catches_gh_squared_minus_one(monkeypatch, lam):
     assert not res.ok and res.witness
 
 
+def _structure_oracle(lam):
+    """The unit, all 64 basis triples and the relations: structure_check's
+    verdict as it was reached before it read only the 32 triples with a
+    generator first."""
+    b = [basis(lam, name) for name in ("1", "g", "h", "gh")]
+    one, g, h, gh = b
+    hinv = repn.generator_image(lam, "h^-1")
+    unit = all(one * x == x == x * one for x in b)
+    assoc = all((x * y) * z == x * (y * z) for x in b for y in b for z in b)
+    return (unit and assoc and g * h == gh and g * g == one and gh * gh == one
+            and h * hinv == one == hinv * h)
+
+
+def test_structure_check_agrees_with_64_triple_oracle(monkeypatch):
+    # every entry of the table replaced by +-b_k, 128 corruptions per lambda;
+    # only those that leave the entry as it was pass
+    real = {lam: repn._basis_product_table(lam) for lam in LAMBDAS}
+    cases = 0
+    for ij in [(i, j) for i in range(4) for j in range(4)]:
+        for k in range(4):
+            for negate in (False, True):
+                terms = ((k, None, negate),)
+                _corrupt_table(monkeypatch, ij, terms)
+                for lam in LAMBDAS:
+                    verdict = structure_check(lam).ok
+                    assert verdict is _structure_oracle(lam), (ij, terms, lam)
+                    assert verdict is (real[lam][ij] == terms), (ij, terms, lam)
+                    cases += 1
+                monkeypatch.undo()
+    assert cases == 128 * len(LAMBDAS)
+
+
 @pytest.mark.parametrize("corruption", [GH_GH_MINUS_ONE, G_G_IS_G], ids=["gh*gh=-1", "g*g=g"])
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_corner_square_check_catches_corrupt_product(monkeypatch, corruption, side):
@@ -277,7 +309,7 @@ def test_idempotent_pair_verified_once_per_lambda(monkeypatch):
     repn.alambda_report(rat(2))
     assert calls == [rat(2)]
     calls.clear()
-    res = verify.alambda_suite(window=3)
+    res = verify.alambda_suite()
     assert res.failed == 0
     assert len(calls) == len(set(calls)) == 5
 

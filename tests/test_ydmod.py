@@ -26,6 +26,7 @@ from dinfnichols.ydmod import (
     OneClassModule,
     REFLECTION_BRAID,
     Affine,
+    BREAK_LABELS,
     ReflectionClassModule,
     SignedVector,
     V1,
@@ -480,12 +481,27 @@ def _negated(t):
     return BraidTerm(-t.coeff, t.left, t.right)
 
 
+# The window pass the braid suite ran before its proof, kept as the oracle
+# of that proof.
+
+def _window_braid_check(m, window):
+    """The first window pair (v, w), v = s_v u_j and w = s_w u_k, whose
+    ``m.braid`` is not (s_w rho) * label(u_(2j-k)) (x) v, or None."""
+    labels = [(v, *m._to_internal(v.kind, v.index)) for v in m.basis_window(window)]
+    for (v, _, j), (w, s, k) in itertools.product(labels, repeat=2):
+        t = m.braid(v, w)
+        if (t.coeff, t.left, t.right) != (*m._from_internal(s ^ 1, 2 * j - k), v):
+            return v, w
+    return None
+
+
 @pytest.mark.parametrize("order", [5, 7, 12])
 def test_reflection_braid_check_passes(order):
     for m in _reflection_modules(order):
+        check = reflection_braid_check(m)
+        assert check.ok, (m, check.witness)
         for window in range(1, 9):
-            check = reflection_braid_check(m, window)
-            assert check.ok, (m, window, check.witness)
+            assert _window_braid_check(m, window) is None, (m, window)
 
 
 # (module, the one label pair whose braiding it changes)
@@ -502,22 +518,26 @@ PERTURBED = [
 @pytest.mark.parametrize("window", [1, 2, 3, 4])
 def test_reflection_braid_check_agrees_with_triple_kernel(window):
     # the perturbed modules count from the first window holding their pair:
-    # below it the check compares no perturbed braiding
+    # below it the kernel braids no perturbed pair
     cases = _reflection_modules()
     cases += [m for m, pair in PERTURBED if max(v.index for v in pair) <= window]
     for m in cases:
-        proof = reflection_braid_check(m, window)
+        proof = reflection_braid_check(m)
         kernel = braid_equation_check(m, itertools.product(m.basis_window(window), repeat=3))
         assert proof.ok is kernel.ok, (m, window)
 
 
 @pytest.mark.parametrize("m,pair", PERTURBED)
 def test_reflection_braid_check_witness_names_perturbed_pair(m, pair):
-    check = reflection_braid_check(m, 4)
+    assert set(pair) <= set(BREAK_LABELS)
+    check = reflection_braid_check(m)
     assert not check.ok
     found, braided, expected = check.witness
     assert found == pair
     assert braided == str(m.braid(*pair)) and braided != expected
+    # the oracle fails from the first window holding the pair on
+    for window in range(max(v.index for v in pair), 9):
+        assert _window_braid_check(m, window) == pair, window
 
 
 def test_affine_braid_sides_accept_reflection_map_only():
@@ -535,10 +555,18 @@ def test_affine_braid_sides_accept_reflection_map_only():
 
 @pytest.mark.parametrize("window", [1, 3, 8])
 def test_reflection_braid_check_braids_each_window_pair_once(window):
+    # the proof braids the 36 BREAK_LABELS pairs once each, whatever the window
     m = CountingGhClass("eps")
-    assert reflection_braid_check(m, window).ok
-    assert len(m.braided) == (2 * window + 1) ** 2
-    assert set(m.braided) == set(itertools.product(m.basis_window(window), repeat=2))
+    assert reflection_braid_check(m).ok
+    assert len(m.braided) == 36
+    proved = set(m.braided)
+    assert proved == set(itertools.product(BREAK_LABELS, repeat=2))
+    # its oracle braids each window pair once; from window 3 on those hold the proof's
+    oracle = CountingGhClass("eps")
+    assert _window_braid_check(oracle, window) is None
+    assert len(oracle.braided) == (2 * window + 1) ** 2
+    assert set(oracle.braided) == set(itertools.product(oracle.basis_window(window), repeat=2))
+    assert (proved <= set(oracle.braided)) is (window >= 3)
 
 
 def _drop_rho_on_b(monkeypatch):
@@ -568,18 +596,50 @@ def _shift_bb_piece(monkeypatch):
         else piece for piece in tables.REFLECTION_TABLE))
 
 
+def _shift_reflections(monkeypatch):
+    """g^r h^e with r = 1 lands one index too far: (s xor 1, t - k - e + 1)."""
+    true_act_pair = ReflectionClassModule._act_pair
+
+    def shifted(self, r, e, s, k):
+        s, k = true_act_pair(self, r, e, s, k)
+        return s, k + r
+
+    monkeypatch.setattr(ReflectionClassModule, "_act_pair", shifted)
+
+
 def test_reflection_braid_check_catches_corrupt_action(monkeypatch):
     _drop_rho_on_b(monkeypatch)
     for m in _reflection_modules():
-        check = reflection_braid_check(m, 8)
+        check = reflection_braid_check(m)
         assert check.ok is (m.rep == "eps")
         if not check.ok:
             assert check.witness[0][1].kind == "b"
 
 
+@pytest.mark.parametrize("mutate", [_drop_rho_on_b, _shift_reflections])
+@pytest.mark.parametrize("order", [5, 7, 12])
+def test_reflection_braid_check_agrees_with_window_oracle_on_mutations(
+        monkeypatch, mutate, order):
+    # from window 2 on, as for the yd and tables proofs: at window 1 the
+    # oracle misses the gh-class sign module's dropped rho
+    mutate(monkeypatch)
+    for m in _reflection_modules(order):
+        proof = reflection_braid_check(m)
+        for window in range(2, 9):
+            assert (_window_braid_check(m, window) is None) is proof.ok, (m, window)
+
+
+def test_reflection_braid_check_names_the_shifted_composed_index(monkeypatch):
+    _shift_reflections(monkeypatch)
+    for m in _reflection_modules():
+        check = reflection_braid_check(m)
+        assert not check.ok
+        assert check.witness == ("deg(u_j).rho^0 u_(k)", "rho^1 u_(2j-k+1)", "rho^1 u_(2j-k)")
+
+
 def test_reflection_braid_check_rejects_finite_modules():
     with pytest.raises(ValueError):
-        reflection_braid_check(HClassModule(1, rat(2)), 3)
+        reflection_braid_check(HClassModule(1, rat(2)))
 
 
 def test_reflection_braid_check_reports_under_optimize():
@@ -591,8 +651,8 @@ def test_reflection_braid_check_reports_under_optimize():
         "    def braid(self, v, w):\n"
         "        t = super().braid(v, w)\n"
         "        return BraidTerm(-t.coeff, t.left, t.right) if (v, w) == (B(1), A(0)) else t\n"
-        "print(reflection_braid_check(GhClassModule('sign'), 8).ok,\n"
-        "      reflection_braid_check(Skewed('sign'), 8).witness[0] == (B(1), A(0)))\n")
+        "print(reflection_braid_check(GhClassModule('sign')).ok,\n"
+        "      reflection_braid_check(Skewed('sign')).witness[0] == (B(1), A(0)))\n")
     r = subprocess.run([sys.executable, "-O", "-B", "-c", script],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
@@ -734,7 +794,7 @@ def test_yd_and_table_proofs_name_the_mutated_label_or_piece(monkeypatch):
 @pytest.mark.parametrize("mutate", [_drop_rho_on_b, _shift_coaction, _shift_bb_piece])
 def test_yd_and_tables_suites_fail_on_mutations(monkeypatch, mutate):
     mutate(monkeypatch)
-    failed = verify.yd_suite(window=3).failed + verify.tables_suite(window=3).failed
+    failed = verify.yd_suite().failed + verify.tables_suite().failed
     assert failed > 0
 
 
@@ -747,8 +807,9 @@ def test_yd_and_table_proofs_report_a_raising_module(monkeypatch):
         return true_act_pair(self, r, e, s, k if k >= 0 else k)
 
     monkeypatch.setattr(ReflectionClassModule, "_act_pair", branching)
-    for suite, n_failed in ((verify.yd_suite, 8), (verify.tables_suite, 4)):
-        res = suite(window=3)
+    for suite, n_failed in ((verify.yd_suite, 8), (verify.tables_suite, 4),
+                            (verify.braid_suite, 4)):
+        res = suite()
         failures = [line for line in res.lines if line.startswith("[FAIL] ")]
         assert res.failed == len(failures) == n_failed
         assert all("TypeError: '>=' not supported" in line for line in failures)
