@@ -81,6 +81,11 @@ def _reduction_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
+def zeta_phi(order: int) -> tuple[tuple[int, int], ...]:
+    """z^phi(N) in the power basis, as the (j, c) pairs of sum_j c z^j."""
+    return _reduction_rows(order)[0]
+
+
 def _degree(order: int) -> int:
     return len(cyclotomic_polynomial(order)) - 1
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .field import Scalar, conjugate_product, mul_nums
+from .field import Scalar, conjugate_product, zeta_phi
 
 Matrix = list
 
@@ -204,7 +204,7 @@ def _cyclotomic_echelon(a, order):
     phi = len(Scalar.one(order).nums)
     rows = [_primitive(list(r)) for r in a]
     width = len(rows[0]) // phi if rows else 0
-    wrap = [(j, c) for j, c in enumerate(mul_nums(order, [1], [0] * phi + [1])) if c]  # z^phi
+    wrap = zeta_phi(order)
     top = 0
     for col in range(width):
         found = [(r, e) for r in range(top, len(rows)) for e in (rows[r][col::width],) if any(e)]

@@ -14,6 +14,7 @@ from dinfnichols.field import (
     mul_nums,
     parse_scalar,
     root_of_unity_order,
+    zeta_phi,
 )
 
 
@@ -366,6 +367,15 @@ def test_conjugate_product_gives_the_norm(order):
     z = Scalar.zeta(order)
     conj = Scalar(order, conjugate_product(order, z.nums))
     assert conj in (z.inverse(), -z.inverse())
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 24))
+def test_zeta_phi_is_the_reduced_power(order):
+    # the pairs that fold z^phi back into the power basis are z^phi reduced
+    phi = len(cyclotomic_polynomial(order)) - 1
+    power = mul_nums(order, [1], [0] * phi + [1])
+    assert zeta_phi(order) == tuple((j, c) for j, c in enumerate(power) if c)
+    assert Scalar.zeta(order, phi) == Scalar(order, power)
 
 
 def test_inverse_checks_the_norm(monkeypatch):

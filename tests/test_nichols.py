@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dinfnichols import linalg
+from dinfnichols import linalg, nichols
 from dinfnichols.classify import default_grid, enumerate_families
 from dinfnichols.field import Scalar
 from dinfnichols.linalg import exact_rank, identity, mat_eq, numeric_rank, zeros
@@ -396,10 +397,24 @@ def test_graded_dims_pinned_cyclotomic_prefixes():
     assert tuple(graded_dims(GENERIC_Q, 8)) == tuple(2 ** n for n in range(9))
 
 
+# braidings that lie in a proper subfield of Q(zeta_N), pinned from the
+# route that found their field by Phi_N(x) = Phi_{N/k}(x^k) or not at all
+PINNED_SUBFIELD = {
+    ("z^9", 12): PINNED_H_CLASS["z^3"],
+    ("z^5", 15): (1, 2, 4, 6, 10, 16, 24, 36, 52),
+    ("z^10", 15): (1, 2, 4, 6, 10, 16, 24, 36, 52),
+    ("z^3", 15): (1, 2, 4, 8, 14, 22, 36, 56),
+}
+
+
 def test_graded_dims_runs_in_the_least_cyclotomic_subring(monkeypatch):
     # z^4 at N = 12 and z^3 at N = 9 are primitive cube roots of unity:
     # the recursion runs over Z[zeta_6] and Z[zeta_3] (two planes) and
-    # gives the series of zeta_3 itself; z and 1/2 + z keep all of Z[zeta_12]
+    # gives the series of zeta_3 itself; z and 1/2 + z keep all of Z[zeta_12].
+    # z^3 and z^9 at N = 12 are +-i and run over Z[zeta_4], z^5 and z^10 at
+    # N = 15 over Z[zeta_3], and a = 2 on one plane.  z^3 at N = 15 is a
+    # primitive 5th root, but its inverse z^12 has exponents off the
+    # multiples of 3, so the gcd rule keeps all of Z[zeta_15] (its known limit)
     orders = []
     kernel = linalg.primitive_echelon_rows
 
@@ -409,12 +424,54 @@ def test_graded_dims_runs_in_the_least_cyclotomic_subring(monkeypatch):
 
     monkeypatch.setattr(linalg, "primitive_echelon_rows", record)
     for a, order, used in (("z^4", 12, 6), ("z^3", 9, 3), ("z", 3, 3), ("z^2", 12, 6),
-                           ("z", 12, 12), ("1/2+z", 12, 12)):
+                           ("z", 12, 12), ("1/2+z", 12, 12), ("z^3", 12, 4), ("z^9", 12, 4),
+                           ("z^5", 15, 3), ("z^10", 15, 3), ("z^3", 15, 15), ("2", 12, 1)):
         orders.clear()
-        dims = graded_dims(HClassModule(1, Scalar.parse(a, order)), 7)
+        pinned = PINNED_SUBFIELD.get((a, order))
+        degree = 7 if pinned is None else len(pinned) - 1
+        dims = graded_dims(HClassModule(1, Scalar.parse(a, order)), degree)
         assert set(orders) == {used}, (a, order)
+        if pinned is not None:
+            assert tuple(dims) == pinned, (a, order)
         if used == 3:
-            assert tuple(dims) == PINNED_H_CLASS["z^4"][:8]
+            assert tuple(dims) == PINNED_H_CLASS["z^4"][:degree + 1]
+
+
+@pytest.mark.parametrize("order", (5, 8, 9, 12, 15, 16, 24))
+def test_subfield_numerators_spread_back_to_the_scalar(order):
+    # each q_ij of _subfield is phi(M) ints over the powers of z^e, e = N/M,
+    # which spread over the exponents j e give v.nums back, zero-padded;
+    # for every q_ij of the pinned modules and random elements of Z[z^e]
+    # (sums of z^(j e) below phi(N), and reduced sums of z^(j e), j < phi(M))
+    phi = len(Scalar.one(order).nums)
+    rng = random.Random(order)
+    values = []
+    if order == ORDER:
+        modules = [HClassModule(n, Scalar.parse(a, ORDER)) for a in PINNED_H_CLASS for n in (1, 2)]
+        modules += [HClassModule(1, Scalar.parse(a, ORDER)) for a in ("1", "-1", "2", "1/2")]
+        modules += [GENERIC_Q, UNMIRRORED_Q]
+        values += [v for m in modules for row in nichols._braiding_matrix(m) for v in row]
+    for a, o in list(PINNED_SUBFIELD) + [("z", o) for o in PINNED_Z_BY_ORDER]:
+        if o == order:
+            values += [v for row in nichols._braiding_matrix(HClassModule(1, Scalar.parse(a, o)))
+                       for v in row]
+    for e in [e for e in range(1, order + 1) if order % e == 0]:
+        small = len(Scalar.one(order // e).nums)
+        for _ in range(6):
+            den = rng.randint(1, 4)
+            sparse = [0] * phi
+            sparse[::e] = [rng.randint(-3, 3) for _ in range(0, phi, e)]
+            values.append(Scalar(order, [Fraction(c, den) for c in sparse]))
+            values.append(sum((rng.randint(-3, 3) * Scalar.zeta(order, j * e)
+                               for j in range(small)), Scalar.zero(order)))
+    assert values
+    for v in values:
+        big, [[nums]] = nichols._subfield([[v]], order)
+        assert order % big == 0 and len(nums) == len(Scalar.one(big).nums), v
+        e = order // big
+        spread = [0] * (len(nums) * e)
+        spread[::e] = nums
+        assert spread[:phi] == list(v.nums) and not any(spread[phi:]), v
 
 
 def test_graded_dims_under_python_O():
@@ -424,7 +481,7 @@ def test_graded_dims_under_python_O():
         "from dinfnichols.field import Scalar\n"
         "from dinfnichols.nichols import graded_dims\n"
         "from dinfnichols.ydmod import HClassModule\n"
-        "for a in ('z', 'z^4'):\n"
+        "for a in ('z', 'z^3', 'z^4'):\n"
         "    print(a, tuple(graded_dims(HClassModule(1, Scalar.parse(a, 12)), 6)))\n"
         "x = Scalar.parse('1/2+z-3z^3', 12)\n"
         "print(x.inverse() * x == Scalar.one(12), x.inverse().inverse() == x)\n")
@@ -433,6 +490,7 @@ def test_graded_dims_under_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == [f"z {PINNED_H_CLASS['z'][:7]}",
+                                f"z^3 {PINNED_H_CLASS['z^3'][:7]}",
                                 f"z^4 {PINNED_H_CLASS['z^4'][:7]}",
                                 "True True"]
 
