@@ -23,8 +23,6 @@ import math
 
 from .field import Scalar, conjugate_product, zeta_phi
 
-Matrix = list
-
 
 def zeros(rows: int, cols: int, order: int) -> list[list[Scalar]]:
     z = Scalar.zero(order)

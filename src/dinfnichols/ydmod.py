@@ -487,67 +487,37 @@ def braid_word_at(m: YDModule, coeff: Scalar, word: tuple, i: int):
 def braid_equation_check(m: YDModule, triples: Iterable[tuple]) -> CheckResult:
     """(c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on the given triples.
 
-    Within one call every label and every distinct coefficient gets a small
-    int code, each label pair is braided once through ``m.braid`` and kept
-    as (coefficient, left, right) codes, and each product of two coefficient
-    codes is computed once.  Both sides of a triple are composed and compared
-    as codes; equal codes are equal labels and equal scalars.  The first
-    triple whose sides differ is the witness, with each side's coefficient
-    and word rebuilt from the interned objects.
+    The triple oracle of the proofs: ``verify`` decides the reflection
+    families by ``reflection_braid_check`` and the finite ones by
+    ``diagonal_type``.  Each label pair is braided once through ``m.braid``.
+    The first triple whose sides differ is the witness, as
+    (triple, (lhs coefficient, lhs word), (rhs coefficient, rhs word)) strings.
     """
-    labels, label_code = [], {}
-    coeffs, coeff_code = [], {}
-    braided = []          # braided[i][j]: codes of c(labels[i] (x) labels[j])
-    products = {}
+    braided = {}
 
-    def label(v):
-        k = label_code.get(v)
-        if k is None:
-            k = label_code[v] = len(labels)
-            labels.append(v)
-            braided.append({})
-        return k
-
-    def coeff(x):
-        k = coeff_code.get(x)
-        if k is None:
-            k = coeff_code[x] = len(coeffs)
-            coeffs.append(x)
-        return k
-
-    def c(i, j):
-        # called on a miss only; hits are read inline from braided[i]
-        b = m.braid(labels[i], labels[j])
-        t = braided[i][j] = (coeff(b.coeff), label(b.left), label(b.right))
+    def c(v, w):
+        t = braided.get((v, w))
+        if t is None:
+            t = braided[v, w] = m.braid(v, w)
         return t
-
-    def mul(a, b):
-        k = products.get((a, b))
-        if k is None:
-            k = products[a, b] = coeff(coeffs[a] * coeffs[b])
-        return k
-
-    def spelled(side):
-        # a side's codes back to its (coefficient, word) strings
-        k, *word = side
-        return str(coeffs[k]), tuple(str(labels[i]) for i in word)
 
     for triple in triples:
         if len(triple) != 3:
             raise ValueError(f"braid equation needs triples, got {triple!r}")
-        u, v, w = map(label, triple)
+        u, v, w = triple
         # slots 1, 2, 1
-        sc, sl, sr = braided[u].get(v) or c(u, v)
-        tc, tl, tr = braided[sr].get(w) or c(sr, w)
-        rc, rl, rr = braided[sl].get(tl) or c(sl, tl)
-        lhs = (mul(mul(sc, tc), rc), rl, rr, tr)
+        s = c(u, v)
+        t = c(s.right, w)
+        r = c(s.left, t.left)
+        lhs = (s.coeff * t.coeff * r.coeff, (r.left, r.right, t.right))
         # slots 2, 1, 2
-        sc, sl, sr = braided[v].get(w) or c(v, w)
-        tc, tl, tr = braided[u].get(sl) or c(u, sl)
-        rc, rl, rr = braided[tr].get(sr) or c(tr, sr)
-        rhs = (mul(mul(sc, tc), rc), tl, rl, rr)
+        s = c(v, w)
+        t = c(u, s.left)
+        r = c(t.right, s.right)
+        rhs = (s.coeff * t.coeff * r.coeff, (t.left, r.left, r.right))
         if lhs != rhs:
-            return CheckResult(False, (triple, spelled(lhs), spelled(rhs)))
+            spelled = [(str(k), tuple(map(str, word))) for k, word in (lhs, rhs)]
+            return CheckResult(False, (triple, *spelled))
     return CheckResult(True)
 
 
@@ -633,8 +603,8 @@ def reflection_braid_check(m: ReflectionClassModule) -> CheckResult:
 
     The witness is (name, got, expected) with the composed index of part 1,
     ((v, w), braided, expected) for part 2, the two sides of part 3, or an
-    exception's text.  Finite families are rejected: ``braid_equation_check``
-    over their basis triples is complete for them.
+    exception's text.  Finite families are rejected: their braiding is of
+    diagonal type, which implies the braid equation.
     """
     if not isinstance(m, ReflectionClassModule):
         raise ValueError(f"{m!r} is not a reflection-class module")

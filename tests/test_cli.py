@@ -294,3 +294,13 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert r1.stdout == r2.stdout
     report = json.loads(r1.stdout)
     assert report["theorem_comparison"]["paper_entries"] == 5
+
+
+def test_cli_import_loads_neither_numpy_nor_jsonschema():
+    # numpy serves only the float rank oracle and jsonschema only the tests;
+    # either would add its import time to every CLI call
+    script = ("import sys, dinfnichols.cli\n"
+              "print(sorted({'numpy', 'jsonschema'} & set(sys.modules)))\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"

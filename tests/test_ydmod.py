@@ -11,7 +11,7 @@ import pytest
 from dinfnichols.field import Scalar
 from dinfnichols.group import GroupElement, conj_class_of
 from dinfnichols.linalg import identity, mat_mul
-from dinfnichols.repn import simple_modules
+from dinfnichols.repn import FinRep, simple_modules
 from dinfnichols import tables, verify
 from dinfnichols.tables import braiding_table_check
 from dinfnichols.verify import _sample_modules
@@ -796,6 +796,53 @@ def test_yd_and_tables_suites_fail_on_mutations(monkeypatch, mutate):
     mutate(monkeypatch)
     failed = verify.yd_suite().failed + verify.tables_suite().failed
     assert failed > 0
+
+
+class WrongInverseHClass(HClassModule):
+    """An h-class module whose stored inverse is 3a, not a^-1: h^n acts by
+    H = diag(a, 3a).  Its braiding is still diagonal and matches the closed
+    form of its stored parameters, and its action builds h^-n as G H G; so
+    when the yd relations were checked through that action, this module
+    passed every braid, yd and tables check."""
+
+    def __init__(self, n, a):
+        super().__init__(n, a)
+        self.a_inv = 3 * a
+        zero = Scalar.zero(a.order)
+        self.rep = FinRep(self.rep.G, ((a, zero), (zero, self.a_inv)))
+
+
+def test_yd_suite_catches_a_wrong_inverse(monkeypatch):
+    mods = [WrongInverseHClass(n, a) for n in (1, 2)
+            for a in (rat(1), rat(2), Scalar.zeta(ORDER, 4))]
+    monkeypatch.setattr(verify, "_sample_modules", lambda order=ORDER: mods)
+    # the relations line reads G and H: the one line that fails
+    res = verify.yd_suite()
+    failures = [line for line in res.lines if line.startswith("[FAIL] ")]
+    assert res.failed == len(failures) == len(mods)
+    assert all(line.startswith("[FAIL] relations ") and line.endswith("  g h g != h^-1")
+               for line in failures)
+    for suite in (verify.braid_suite, verify.tables_suite):
+        assert suite().failed == 0
+
+
+def test_braid_suite_catches_a_non_diagonal_h_class(monkeypatch):
+    # c(x1 (x) x2) with the wrong left label: no longer of diagonal type.
+    # Diagonal type is sufficient for the braid equation, not necessary: at
+    # a = 1 and a = -1 this braiding still satisfies it on all basis
+    # triples, though it is not invertible: a triple check passes four of
+    # the eight h-class modules
+    true_braid = HClassModule.braid
+
+    def relabelled(self, v, w):
+        t = true_braid(self, v, w)
+        return BraidTerm(t.coeff, X1, t.right) if (v, w) == (X1, X2) else t
+
+    monkeypatch.setattr(HClassModule, "braid", relabelled)
+    res = verify.braid_suite()
+    for line in res.lines:
+        assert line.startswith("[FAIL] " if "HClassModule" in line else "[PASS] "), line
+    assert res.failed == 8
 
 
 def test_yd_and_table_proofs_report_a_raising_module(monkeypatch):
