@@ -18,6 +18,10 @@ the norm (4.2-4.3), so it too runs on these integer products.  The two
 integer kernels, the product in Z[zeta_N] (mul_nums) and the conjugate
 product (conjugate_product), are functions on plain int lists, so the
 Nichols layer's integer elimination shares them without building Scalars.
+That elimination reads its ring as data (``Ring``): Z, Z[zeta_N]
+(``cyclotomic_ring``) or the ring of integers Z[zeta_N + zeta_N^-1] of the
+real subfield (``real_ring``), with ``real_parts`` splitting an element of
+Z[zeta_N] into its two coordinates over it.
 
 Scalars are immutable and hashable; all operations are pure functions, so
 values can be shared freely between threads.
@@ -30,7 +34,8 @@ import math
 import numbers
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Optional
 
 DEFAULT_ORDER = 12
 
@@ -53,11 +58,13 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         q, r = divmod(num[i + len(den) - 1], den[-1])
-        assert r == 0
+        if r:
+            raise ArithmeticError(f"{den} does not divide {num} in Z[x]")
         out[i] = q
         for j, c in enumerate(den):
             num[i + j] -= q * c
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise ArithmeticError(f"division by {den} leaves the remainder {num}")
     return out
 
 
@@ -124,6 +131,15 @@ def mul_nums(order: int, a, b) -> list[int]:
     return _reduce(order, prod)
 
 
+def _galois(order: int, nums, k: int) -> list[int]:
+    """sigma_k(x), z -> z^k for gcd(k, N) = 1, of x in Z[zeta_N] given by
+    its phi(N) integer coefficients."""
+    moved = [0] * order
+    for i, c in enumerate(nums):
+        moved[i * k % order] = c
+    return _reduce(order, moved)
+
+
 def conjugate_product(order: int, nums) -> list[int]:
     """The product of the Galois conjugates sigma_k(x), 1 < k < N and
     gcd(k, N) = 1, of x in Z[zeta_N] given by its phi(N) integer
@@ -138,12 +154,126 @@ def conjugate_product(order: int, nums) -> list[int]:
     conj = None
     for k in range(2, order):
         if math.gcd(k, order) == 1:
-            moved = [0] * order
-            for i, c in enumerate(nums):
-                moved[i * k % order] = c
-            sigma = _reduce(order, moved)
+            sigma = _galois(order, nums, k)
             conj = sigma if conj is None else mul_nums(order, conj, sigma)
     return [1] + list(_zero_tail(order)) if conj is None else conj
+
+
+# -- integer rings of the elimination kernels ---------------------------------
+
+class Ring(NamedTuple):
+    """An integer ring as ``linalg.primitive_echelon_rows`` and the Nichols
+    recursion see it.  An element is ``degree`` ints, its coefficients over
+    1, g, ..., g^(degree-1) for the ring's generator g; g^degree is
+    sum_j c g^j over the (j, c) pairs of ``wrap``; ``conj(x)`` is the
+    product of the Galois conjugates of x other than x itself, so that
+    x conj(x) is the norm of x, a rational integer, nonzero for x != 0
+    (None for Z, where nothing needs it)."""
+
+    degree: int
+    wrap: tuple
+    conj: Optional[Callable]
+
+
+INTEGERS = Ring(1, ((0, 1),), None)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_ring(order: int) -> Ring:
+    """Z[zeta_N], generated by z; Z itself for N = 1, 2."""
+    if _degree(order) == 1:
+        return INTEGERS
+    return Ring(_degree(order), zeta_phi(order), partial(conjugate_product, order))
+
+
+def _ring_reduce(degree: int, wrap, poly) -> list[int]:
+    """Integer coefficients over powers of g, of any length, reduced to
+    ``degree`` ints by g^degree = wrap, highest power first."""
+    poly = list(poly) + [0] * (degree - len(poly))
+    for e in range(len(poly) - 1, degree - 1, -1):
+        c = poly[e]
+        if c:
+            for j, r in wrap:
+                poly[e - degree + j] += c * r
+    return poly[:degree]
+
+
+def _ring_mul(degree: int, wrap, a, b) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _ring_reduce(degree, wrap, prod)
+
+
+@lru_cache(maxsize=None)
+def _real_subfield(order: int):
+    """(Z[w], rows) for w = z + z^-1, N > 2, the ring of integers of the
+    real subfield Q(zeta_N)^+ of degree m = phi(N)/2 (Z when m = 1).
+
+    With C_0 = 2, C_1 = w and C_(k+1) = w C_k - C_(k-1), x^k + x^-k = C_k(w)
+    for x = z.  Phi_N is palindromic of degree 2m, so x^-m Phi_N(x) =
+    a_m + sum_(k=1..m) a_(m+k) C_k(w) is the monic minimal polynomial of w,
+    which gives ``wrap``.  sigma_k (1 < k < N/2, gcd(k, N) = 1; sigma_-k
+    agrees with sigma_k on Z[w]) sends w to C_k(w), which gives ``conj``.
+    z^2 = w z - 1, so Z[z] = Z[w] + z Z[w]; rows[t] = (A_t, B_t) with
+    z^t = A_t + z B_t, by A_(t+1) = -B_t and B_(t+1) = A_t + w B_t.
+    """
+    if order < 3:
+        raise ValueError(f"Q(zeta_{order}) is its own real subfield")
+    phi = cyclotomic_polynomial(order)
+    m = (len(phi) - 1) // 2
+    cheb = [[2], [0, 1]]
+    for _ in range(max(m, order // 2) - 1):
+        cheb.append([a - b for a, b in zip([0] + cheb[-1], cheb[-2] + [0, 0])])
+    minpoly = [phi[m]] + [0] * m
+    for k in range(1, m + 1):
+        for j, c in enumerate(cheb[k]):
+            minpoly[j] += phi[m + k] * c
+    wrap = tuple((j, -c) for j, c in enumerate(minpoly[:m]) if c)
+    one = [1] + [0] * (m - 1)
+    images = []
+    for k in range(2, order // 2 + 1):
+        if math.gcd(k, order) == 1:
+            w_k = _ring_reduce(m, wrap, cheb[k])
+            powers = [one]
+            for _ in range(m - 1):
+                powers.append(_ring_mul(m, wrap, powers[-1], w_k))
+            images.append(powers)
+
+    def conj(x):
+        out = one
+        for powers in images:
+            sigma = [sum(c * p[t] for c, p in zip(x, powers)) for t in range(m)]
+            out = _ring_mul(m, wrap, out, sigma)
+        return out
+
+    rows = [(one, [0] * m)]
+    for _ in range(len(phi) - 2):
+        a, b = rows[-1]
+        wb = _ring_mul(m, wrap, [0, 1], b)
+        rows.append(([-c for c in b], [x + y for x, y in zip(a, wb)]))
+    return (INTEGERS if m == 1 else Ring(m, wrap, conj)), tuple(rows)
+
+
+def real_ring(order: int) -> Ring:
+    """Z[w], w = zeta_N + zeta_N^-1 (N > 2): the ring of integers of the
+    real subfield Q(zeta_N)^+, of degree phi(N)/2; Z for N = 3, 4, 6."""
+    return _real_subfield(order)[0]
+
+
+def real_parts(order: int, nums) -> tuple[list[int], list[int]]:
+    """(x0, x1) over Z[w] with x = x0 + z x1, for x in Z[zeta_N] given by
+    its phi(N) integer coefficients (N > 2)."""
+    ring, rows = _real_subfield(order)
+    x0, x1 = [0] * ring.degree, [0] * ring.degree
+    for c, (a, b) in zip(nums, rows):
+        if c:
+            for t in range(ring.degree):
+                x0[t] += c * a[t]
+                x1[t] += c * b[t]
+    return x0, x1
 
 
 def _rational_parts(q) -> tuple[int, int]:
@@ -220,6 +350,10 @@ class Scalar:
 
     def __bool__(self) -> bool:
         return not self.is_zero()
+
+    def conjugate(self) -> "Scalar":
+        """The complex conjugate: the Galois automorphism z -> z^-1."""
+        return _canonical(self.order, _galois(self.order, self.nums, -1), self.den)
 
     # -- arithmetic ------------------------------------------------------
 

@@ -6,22 +6,27 @@ block at a time), so everything is dense.  Row basis, rank and kernel of
 a Scalar matrix go through one Gauss-Jordan elimination over Q(zeta_N)
 (_row_reduce).
 
-A matrix over Q(zeta_N), its rows cleared of denominators, can also go
-through primitive_echelon_rows: the same Gauss-Jordan elimination run
-fraction-free on integer rows over Z[zeta_N], each row one flat int list
-of phi(N) coefficient planes (a plain integer row when phi = 1).  Pivots
-are made rational integers by the product of their other Galois
-conjugates (field.conjugate_product), so a row update is an integer
-combination of whole integer lists.  The Nichols layer eliminates every
-block this way.  The tests check it against echelon_rows, which stays the
+A matrix over a number field, its rows cleared of denominators, can also
+go through primitive_echelon_rows: the same elimination run fraction-free
+on integer rows over an integer ring of the field, one loop for every
+ring.  The ring comes as data (field.Ring): its degree (the number of
+coefficient planes of a row), ``wrap`` (its generator g to the power of the
+degree, in lower powers) and ``conj`` (the product of the other Galois
+conjugates of an element).  Z (field.INTEGERS, a plain integer row),
+Z[zeta_N] (field.cyclotomic_ring) and the real Z[zeta_N + zeta_N^-1]
+(field.real_ring) all fit.  Pivots are made rational integers by conj, so
+a row update is an integer combination of whole integer lists.  The
+Nichols layer eliminates every block this way, forward only when it needs
+just the rank.  The tests check it against echelon_rows, which stays the
 reference, as do exact_rank and nullspace for the representation layer.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 
-from .field import Scalar, conjugate_product, zeta_phi
+from .field import INTEGERS, Ring, Scalar
 
 
 def zeros(rows: int, cols: int, order: int) -> list[list[Scalar]]:
@@ -126,57 +131,108 @@ def _primitive(row):
     return row if g < 2 else [x // g for x in row]
 
 
-def primitive_echelon_rows(a, order: int = 1):
-    """Row basis of a matrix over Z[zeta_N] by fraction-free Gauss-Jordan elimination.
+def primitive_echelon_rows(a, ring: Ring = INTEGERS, reduced: bool = True):
+    """Row basis of a matrix over an integer ring by fraction-free elimination.
 
-    Each row is one flat list of ints holding phi = phi(N) planes of
-    equal width: plane t holds the z^t coefficients of the entries, so the
-    entry in column j of a row of width w is sum_t row[t*w + j] z^t.  For
-    phi = 1 (``order`` 1 or 2, the default) a row is a plain integer row.
+    ``ring`` is Z (the default), Z[zeta_N] or the real Z[w] of ``field``.
+    Each row is one flat list of ints holding ring.degree planes of equal
+    width: plane t holds the g^t coefficients of the entries for the
+    ring's generator g, so the entry in column j of a row of width w is
+    sum_t row[t*w + j] g^t.  Over Z a row is a plain integer row.
 
-    Over Q(zeta_N) a row may be rescaled freely, so rows stay primitive
-    integer vectors (all their ints together have gcd 1).  A pivot row is
-    first multiplied by the product of the other Galois conjugates of its
-    pivot entry (field.conjugate_product), which makes the pivot the
-    rational integer N(pivot); it is then made primitive with a positive
-    pivot p.  A row update is R <- (p/g) R - sum_a (f_a/g) z^a P, where P
-    is the pivot row, f = sum_a f_a z^a the entry of R in the pivot column
-    and g = gcd(p, f_0, ..., f_(phi-1)); the result is divided by its
+    Over the fraction field a row may be rescaled freely, so rows stay
+    primitive integer vectors (all their ints together have gcd 1).  A
+    pivot row whose pivot entry is not rational is first multiplied by the
+    product of the other Galois conjugates of that entry (ring.conj),
+    which makes the pivot its norm, a rational integer; it is then made
+    primitive with a positive pivot p.  A row update is
+    R <- (p/g) R - sum_a (f_a/g) g^a P, where P is the pivot row,
+    f = sum_a f_a g^a the entry of R in the pivot column and
+    g = gcd(p, f_0, ..., f_(degree-1)); the result is divided by its
     content.  Each step scales a row by a nonzero rational, so every row is
-    a rational multiple of the row that exact elimination over Q(zeta_N)
-    would hold at the same step.  The pivots, hence the rank, are exact,
-    and the returned rows are the nonzero rows of the reduced row echelon
-    form of a, each scaled to be primitive with a positive rational pivot.
-    Content removal keeps every row the primitive multiple of its exact
-    counterpart, so entries do not grow with the number of updates a row
-    has taken.
+    a rational multiple of the row that exact elimination would hold at the
+    same step, and the pivots, hence the rank, are exact.  Content removal
+    keeps entries from growing with the number of updates a row has taken.
+
+    With ``reduced`` (Gauss-Jordan) the returned rows are the nonzero rows
+    of the reduced row echelon form of a, each scaled to be primitive with
+    a positive rational pivot.  Without it only the rows below a pivot are
+    updated (forward elimination): the rows are in echelon form, each with
+    a positive rational pivot, and span the same space, so their number is
+    still the exact rank.
     """
-    if order > 2:  # phi(N) = 1 only for N = 1, 2
-        return _cyclotomic_echelon(a, order)
+    degree, wrap, conj = ring
     rows = [_primitive(list(r)) for r in a]
+    width = len(rows[0]) // degree if rows else 0
+    planar = degree > 1
     top = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+    for col in range(width):
+        # any row will do; one with a rational entry needs no conjugate product
+        piv = None
+        for r in range(top, len(rows)):
+            row = rows[r]
+            irrational = planar and any(row[col + width::width])
+            if not irrational and row[col]:
+                piv = r
+                break
+            if irrational and piv is None:
+                piv = r
         if piv is None:
             continue
         prow = rows[piv]
-        if prow[col] < 0:
-            prow = [-x for x in prow]
-        rows[piv], rows[top] = rows[top], prow
+        entry = prow[col::width]
+        if any(entry[1:]):
+            prow = _primitive(_combine(conj(entry), _powers(prow, width, wrap, degree)))
         p = prow[col]
-        for r, row in enumerate(rows):
-            f = row[col]
-            if f and r != top:
-                g = math.gcd(p, f)
-                s, t = p // g, f // g
-                rows[r] = _primitive([s * x - t * y for x, y in zip(row, prow)])
+        if p < 0:
+            prow, p = [-x for x in prow], -p
+        rows[piv], rows[top] = rows[top], prow
+        # the pivot row and its powers, whole and on their support only
+        live = map(any, zip(*[prow[lo:lo + width] for lo in range(0, degree * width, width)]))
+        cols = list(compress(range(width), live))
+        idx = [lo + j for lo in range(0, degree * width, width) for j in cols]
+        powers = _powers(prow, width, wrap, degree)
+        compact = [[v[k] for k in idx] for v in powers]
+        for r in range(0 if reduced else top + 1, len(rows)):
+            row = rows[r]
+            if (row[col] or planar and any(row[col + width::width])) and r != top:
+                rows[r] = _eliminate(row, col, width, p, powers, idx, compact)
         top += 1
     return rows[:top]
 
 
-def _zeta_powers(row, width, wrap, count):
-    """[row, z row, ..., z^(count-1) row] for a flat row of planes of width
-    ``width``; z^phi = sum_j c z^j over the pairs (j, c) of ``wrap``."""
+def _eliminate(row, col, width, p, powers, idx, compact):
+    """row made zero in column col by the pivot row P, whose entry there is
+    the positive integer p: (p/g) row - sum_a (f_a/g) g^a P, made primitive
+    (see primitive_echelon_rows).  powers[a] is g^a P, compact[a] the same
+    at the positions idx, outside which every g^a P vanishes: a row that
+    needs no scaling (p/g = 1) is updated in place there only."""
+    f = row[col::width]
+    g = math.gcd(p, *f)
+    s = p // g
+    if not any(f[1:]):  # a rational entry: one term
+        t = f[0] // g
+        if s != 1:
+            return _primitive([s * x - t * y for x, y in zip(row, powers[0])])
+        for k, y in zip(idx, compact[0]):
+            row[k] -= t * y
+        return _primitive(row)
+    f = [x // g for x in f]
+    if s != 1:
+        return _primitive([s * x - y for x, y in zip(row, _combine(f, powers))])
+    if len(f) == 2:  # the real rings of M = 5, 8, 10, 12: one fused pass
+        t, u = f
+        for k, y, z in zip(idx, *compact):
+            row[k] -= t * y + u * z
+        return _primitive(row)
+    for k, y in zip(idx, _combine(f, compact)):
+        row[k] -= y
+    return _primitive(row)
+
+
+def _powers(row, width, wrap, count):
+    """[row, g row, ..., g^(count-1) row] for a flat row of planes of width
+    ``width``; g^degree = sum_j c g^j over the pairs (j, c) of ``wrap``."""
     out = [row]
     for _ in range(count - 1):
         top = row[-width:]
@@ -195,53 +251,6 @@ def _combine(coeffs, vectors):
         if c:
             acc = [c * y for y in v] if acc is None else [x + c * y for x, y in zip(acc, v)]
     return acc
-
-
-def _cyclotomic_echelon(a, order):
-    """primitive_echelon_rows for phi > 1 (see there)."""
-    phi = len(Scalar.one(order).nums)
-    rows = [_primitive(list(r)) for r in a]
-    width = len(rows[0]) // phi if rows else 0
-    wrap = zeta_phi(order)
-    top = 0
-    for col in range(width):
-        found = [(r, e) for r in range(top, len(rows)) for e in (rows[r][col::width],) if any(e)]
-        if not found:
-            continue
-        # any of them will do; one with a rational entry needs no conjugate product
-        piv, pentry = next((f for f in found if not any(f[1][1:])), found[0])
-        # the pivot row on its support only: compact planes of len(cols)
-        prow = rows[piv]
-        cols = [j for j in range(width) if any(prow[j::width])]
-        idx = [t * width + j for t in range(phi) for j in cols]
-        n = len(cols)
-        compact = [prow[k] for k in idx]
-        if any(pentry[1:]):
-            compact = _combine(conjugate_product(order, pentry),
-                               _zeta_powers(compact, n, wrap, phi))
-        compact = _primitive(compact)
-        p = compact[cols.index(col)]
-        if p < 0:
-            compact, p = [-x for x in compact], -p
-        prow = [0] * (phi * width)
-        for k, x in zip(idx, compact):
-            prow[k] = x
-        rows[piv], rows[top] = rows[top], prow
-        powers = _zeta_powers(compact, n, wrap, phi)
-        for r, row in enumerate(rows):
-            f = row[col::width]
-            if r != top and any(f):
-                g = math.gcd(p, *f)
-                s = p // g
-                if s != 1:
-                    row = [s * x for x in row]
-                if g != 1:
-                    f = [x // g for x in f]
-                for k, d in zip(idx, _combine(f, powers)):
-                    row[k] -= d
-                rows[r] = _primitive(row)
-        top += 1
-    return rows[:top]
 
 
 NUMERIC_RANK_TOL = 1e-8

@@ -26,18 +26,32 @@ keeps the full matrix as the independent oracle.
 
 A basis of B^n on a block is needed only up to its span, so each basis
 vector may be rescaled by any nonzero scalar, and the recursion runs on
-integer rows for every braiding, over Z[zeta_M] with M = N/e and e the
-gcd of N and every exponent of z in the q_ij (_subfield): a row is one
-flat int list of phi(M) coefficient planes, and a rational (q_ij) (the
-h-class at a = +-1 and a rational a^2 != 1, the one-class modules) is
-M = 1, a plain integer row.  Insertion coefficients are cleared of
-denominators once per block and letter.  Each block is eliminated
-fraction-free (linalg.primitive_echelon_rows); a pivot row is multiplied
-by the product of the other Galois conjugates of its pivot, which makes
-the pivot a rational integer, so a row update is an integer combination
-of integer lists.  Every step scales a row by a nonzero rational, so each
-row stays a rational multiple of the row exact elimination over
-Q(zeta_M) would give, and the ranks (those over Q(zeta_N)) are exact.
+integer rows for every braiding.  The field is Q(zeta_M) with M = N/e and
+e the gcd of N and every exponent of z in the q_ij (_subfield), and _ring
+picks the ring of the rows once: Z for a rational (q_ij) (the h-class at
+a = +-1 and a rational a^2 != 1, the one-class modules); the real
+Z[zeta_M + zeta_M^-1] for a unitary one (the h-class at every other root
+of unity); Z[zeta_M] otherwise.  A row is one flat int list of the ring's
+coefficient planes, phi(M)/2 of them over the real ring (one, plain
+integers, for M = 3, 4, 6) and phi(M) over Z[zeta_M].
+
+The real form rests on a lemma (proof in graded_dims): if
+sigma(q_ij) q_ji = 1 for all i, j, with sigma the complex conjugation
+z -> z^-1, then sigma(im Sym_n) = im Sym_n on every block, because
+reversing words relates Sym_n(q) to both Sym_n(q^-1) and Sym_n(q^T).
+So each block's span has a basis over the real subfield Q(zeta_M)^+, and
+each generator g = g0 + zeta_M g1 contributes its two real parts g0, g1
+(Galois descent; Andruskiewitsch-Schneider, MSRI Publ. 43, 2002).
+
+Insertion coefficients are cleared of denominators once per block and
+letter.  Each block is eliminated fraction-free
+(linalg.primitive_echelon_rows); a pivot row is multiplied by the product
+of the other Galois conjugates of its pivot, which makes the pivot a
+rational integer, so a row update is an integer combination of integer
+lists.  Every step scales a row by a nonzero rational, so each row stays a
+rational multiple of the row exact elimination over the ring's field would
+give, and the ranks (those over Q(zeta_N)) are exact.  The last degree is
+only counted: its blocks are eliminated forward only.
 linalg.echelon_rows on Scalar rows stays the oracle.
 
 Infinite-dimensional modules and braidings that are not diagonal are
@@ -51,11 +65,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import compress, product
 from typing import Optional
 
 from . import linalg
-from .field import Scalar, cyclotomic_polynomial, mul_nums, zeta_phi
+from .field import (INTEGERS, Scalar, cyclotomic_polynomial, cyclotomic_ring, mul_nums,
+                    real_parts, real_ring)
 from .ydmod import YDModule, diagonal_type
 
 DEGREE_CAP = 8
@@ -139,80 +154,84 @@ class HilbertPrefix:
         return len(self.dims)
 
 
-def _insertion_map(num, den, one, words, rows, x, memo):
+def _insertion_map(num, den, scale, one, words, n, x, live, memo):
     """T_n(u (x) x) for each word u of a block, as [(word, coefficient)].
 
-    Inserting x at position j of u passes the letters u_k, k >= j, so the
-    coefficient is prod_{k>=j} q(u_k, x).  With q = num / den entrywise it
-    is computed as prod_{k>=j} num(u_k, x) . prod_{k<j} den(u_k, x), that
-    is multiplied by prod_k den(u_k, x); that factor depends only on the
-    letter content of u, so it is one integer for the whole block (den is
-    None when every den is 1).  The products over a suffix of u are kept
-    in memo, keyed by (x, suffix), for the other words that end in it.
-    Equal words from adjacent positions are merged and zero sums dropped;
-    words on which every row of the block vanishes get an empty list.
+    A word of length n over d letters is the integer sum_k u_k d^(n-1-k),
+    so lexicographic order is integer order.  Inserting x at position j of
+    u gives (hi d + x) d^(n-j) + lo with hi, lo = divmod(u, d^(n-j)), and
+    passes the letters u_k, k >= j, so the coefficient is
+    prod_{k>=j} q(u_k, x).  With q = num / den entrywise it is computed as
+    prod_{k>=j} num(u_k, x) . prod_{k<j} den(u_k, x), that is multiplied by
+    prod_k den(u_k, x); that factor depends only on the letter content of
+    u, so it is one integer for the whole block, ``scale`` (_den_product;
+    den is None when every den is 1), and position j - 1 divides it by
+    den(u_(j-1), x).
+    The products over a suffix of u are kept in memo, keyed by
+    (x, d^length, suffix), for the other words that end in it.  Equal words
+    from adjacent positions are merged and zero sums dropped; words that
+    are not live (every row of the block vanishes on them) get an empty list.
     """
+    d = len(num)
     imap = []
-    for u, column in zip(words, zip(*rows)):
+    for u, alive in zip(words, live):
         merged = {}
-        if any(column):
-            if den is not None:
-                kept = [1]
-                for y in u:
-                    kept.append(kept[-1] * den[y][x])
-            passed = one
-            for j in range(len(u), -1, -1):
-                w = u[:j] + (x,) + u[j:]
-                c = passed if den is None else kept[j] * passed
+        if alive:
+            passed, kept, p = one, scale, 1
+            for j in range(n, -1, -1):
+                hi, lo = divmod(u, p)
+                w = (hi * d + x) * p + lo
+                c = passed if kept == 1 else kept * passed
                 merged[w] = merged[w] + c if w in merged else c
                 if j:
-                    key = (x, u[j - 1:])
+                    y = hi % d
+                    key = (x, p * d, y * p + lo)
                     if key not in memo:
-                        memo[key] = passed * num[u[j - 1]][x]
+                        memo[key] = passed * num[y][x]
                     passed = memo[key]
+                    if den is not None:
+                        kept //= den[y][x]
+                    p *= d
         imap.append([(w, c) for w, c in merged.items() if c])
     return imap
 
 
-def _planar_insertion_map(num, den, one, mul, words, rows, x, memo):
-    """_insertion_map over Z[zeta_N], split by powers of z.
+def _planar_insertion_map(num, den, scale, one, mul, split, words, n, x, live, memo):
+    """_insertion_map with coefficients over Z[zeta_M], split by planes.
 
-    The num entries and the coefficients are lists of phi ints, multiplied
-    by ``mul``; rows are flat lists of phi planes over words.  Returns
-    (s, imap_s) for each s where some coefficient has a nonzero z^s part,
-    imap_s[k] = [(word, that part)] for the k-th word.
+    The num entries and the coefficients are lists of phi(M) ints,
+    multiplied by ``mul``.  ``split`` maps a merged coefficient to its
+    parts over the ring of the rows, each a list of ints over the powers
+    of the ring's generator g (see _ring).  Returns, for each part, imap with imap[k] = [(s, word, int)]
+    for the k-th word: the nonzero g^s coefficients of that part.
     """
-    width = len(words)
-    live = [any(col) for col in zip(*rows)]
+    d = len(num)
     imap = []
-    for k, u in enumerate(words):
+    for u, alive in zip(words, live):
         merged = {}
-        if any(live[k::width]):
-            if den is not None:
-                kept = [1]
-                for y in u:
-                    kept.append(kept[-1] * den[y][x])
-            passed = one
-            for j in range(len(u), -1, -1):
-                w = u[:j] + (x,) + u[j:]
-                c = passed if den is None else [kept[j] * y for y in passed]
+        if alive:
+            passed, kept, p = one, scale, 1
+            for j in range(n, -1, -1):
+                hi, lo = divmod(u, p)
+                w = (hi * d + x) * p + lo
+                c = passed if kept == 1 else [kept * y for y in passed]
                 merged[w] = [a + b for a, b in zip(merged[w], c)] if w in merged else c
                 if j:
-                    key = (x, u[j - 1:])
+                    y = hi % d
+                    key = (x, p * d, y * p + lo)
                     if key not in memo:
-                        memo[key] = mul(passed, num[u[j - 1]][x])
+                        memo[key] = mul(passed, num[y][x])
                     passed = memo[key]
-        imap.append(merged.items())
-    out = []
-    for s in range(len(one)):
-        part = [[(w, c[s]) for w, c in targets if c[s]] for targets in imap]
-        if any(part):
-            out.append((s, part))
-    return out
+                    if den is not None:
+                        kept //= den[y][x]
+                    p *= d
+        imap.append([(w, split(c)) for w, c in merged.items()])
+    return [[[(s, w, v) for w, c in targets for s, v in enumerate(c[k]) if v]
+             for targets in imap] for k in range(len(split(one)))]
 
 
 def _accumulate(out, plane, imap):
-    """out += the image of a row (or one plane of it) under imap."""
+    """out += the image of an integer row under imap."""
     for v, targets in zip(plane, imap):
         if v:
             for w, c in targets:
@@ -221,19 +240,23 @@ def _accumulate(out, plane, imap):
     return out
 
 
-def _planar_image(b, imaps, width, wrap):
+def _planar_image(b, imap, width, wrap):
     """T_n(b (x) x) as one {word: int} per plane, for a row b of planes.
 
-    Plane t of b times the z^s part of the insertion map lands on
-    z^(t+s).  z^e for e >= phi is folded back, highest e first, as
-    z^(e-phi) z^phi with z^phi = sum_j r z^j over the pairs (j, r) of wrap.
+    Plane t of b times the g^s part of the insertion map lands on
+    g^(t+s).  g^e for e >= degree is folded back, highest e first, as
+    g^(e-degree) g^degree with g^degree = sum_j r g^j over the pairs (j, r)
+    of wrap.
     """
     planes = len(b) // width
     out = [{} for _ in range(2 * planes - 1)]
     for t in range(planes):
         plane = b[t * width:(t + 1) * width]
-        for s, imap in imaps:
-            _accumulate(out[t + s], plane, imap)
+        for k in compress(range(width), plane):
+            v = plane[k]
+            for s, w, c in imap[k]:
+                o = out[t + s]
+                o[w] = o[w] + v * c if w in o else v * c
     for e in range(2 * planes - 2, planes - 1, -1):
         for j, r in wrap:
             o = out[e - planes + j]
@@ -242,26 +265,38 @@ def _planar_image(b, imaps, width, wrap):
     return out[:planes]
 
 
-def _rational_block(parts, num, den, memo):
+def _den_product(den, content, x):
+    """prod_y den(y, x)^content[y], the scale of _insertion_map."""
+    return 1 if den is None else math.prod(r[x] ** k for r, k in zip(den, content))
+
+
+def _rational_block(parts, n, reduced, num, den, memo):
     """(words, integer rows) spanning a block when every q_ij is rational."""
     gens = []
-    for words, rows, x in parts:
-        imap = _insertion_map(num, den, 1, words, rows, x, memo)
+    for content, words, rows, x in parts:
+        live = [any(col) for col in zip(*rows)]
+        imap = _insertion_map(num, den, _den_product(den, content, x), 1, words, n, x, live, memo)
         gens.extend(_accumulate({}, b, imap) for b in rows)
     words = sorted(set().union(*gens))
-    return words, linalg.primitive_echelon_rows([[g.get(w, 0) for w in words] for g in gens])
+    return words, linalg.primitive_echelon_rows([[g.get(w, 0) for w in words] for g in gens],
+                                                reduced=reduced)
 
 
-def _cyclotomic_block(parts, num, den, order, one, wrap, memo):
-    """(words, rows of planes over Z[zeta_order]) spanning a block."""
-    mul = partial(mul_nums, order)
+def _planar_block(parts, n, reduced, num, den, one, mul, ring, split, memo):
+    """(words, rows of planes over the ring) spanning a block; its
+    generators are the images of each row under each part of the
+    insertion map."""
     gens = []
-    for words, rows, x in parts:
-        imaps = _planar_insertion_map(num, den, one, mul, words, rows, x, memo)
-        gens.extend(_planar_image(b, imaps, len(words), wrap) for b in rows)
+    for content, words, rows, x in parts:
+        width = len(words)
+        columns = [any(col) for col in zip(*rows)]
+        live = [any(columns[k::width]) for k in range(width)]
+        for imap in _planar_insertion_map(num, den, _den_product(den, content, x), one, mul,
+                                          split, words, n, x, live, memo):
+            gens.extend(_planar_image(b, imap, width, ring.wrap) for b in rows)
     words = sorted(set().union(*(o for g in gens for o in g)))
     return words, linalg.primitive_echelon_rows(
-        [[o.get(w, 0) for o in g for w in words] for g in gens], order)
+        [[o.get(w, 0) for o in g for w in words] for g in gens], ring, reduced)
 
 
 def _mirrored(rows, planes):
@@ -291,6 +326,40 @@ def _subfield(q, order):
                         for row in q]
 
 
+def _unitary(q) -> bool:
+    """sigma(q_ij) q_ji = 1 for all i, j, sigma: z -> z^-1 the complex
+    conjugation; then sigma fixes im Sym_n (see graded_dims)."""
+    return all(v.conjugate() * q[j][i] == 1 for i, row in enumerate(q) for j, v in enumerate(row))
+
+
+def _ring(q, order):
+    """(M, numerators, ring, split): where the recursion runs.
+
+    The one choice of ring, over the Z[zeta_M] of _subfield:
+
+    * M = 1, a rational (q_ij): Z, numerators as ints, split None;
+    * a unitary (q_ij) (_unitary): the real Z[w], w = zeta_M + zeta_M^-1,
+      of degree phi(M)/2 (field.real_ring; Z for M = 3, 4, 6); split(c) is
+      (c0, c1) over Z[w] with c = c0 + zeta_M c1, kept in a cache that
+      lives as long as split;
+    * otherwise Z[zeta_M] itself, split(c) = (c,).
+    """
+    order, num = _subfield(q, order)
+    if len(num[0][0]) == 1:
+        return order, [[n for n, in row] for row in num], INTEGERS, None
+    if not _unitary(q):
+        return order, num, cyclotomic_ring(order), lambda c: (c,)
+    cache = {}
+
+    def split(c):
+        key = tuple(c)
+        if key not in cache:
+            cache[key] = real_parts(order, c)
+        return cache[key]
+
+    return order, num, real_ring(order), split
+
+
 def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
     """Exact graded dimensions of the Nichols algebra up to max_degree.
 
@@ -298,32 +367,56 @@ def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
     rows) for the block of letter content c (c[i] = how often letter i
     occurs): rows is a basis of B^n on that block, each row a list of
     coefficients over words, the words of content c that occur in the
-    images spanning the block, in lexicographic order.  A degree-n
-    block c is spanned by T_n(b (x) x) over the letters x in c and the
-    rows b of blocks[c - x]; one elimination per block gives its basis,
-    and dim B^n is the sum of the block dimensions.
+    images spanning the block, as integers in increasing order (see
+    _insertion_map).  A degree-n block c is spanned by T_n(b (x) x) over
+    the letters x in c and the rows b of blocks[c - x]; one elimination per
+    block gives its basis, and dim B^n is the sum of the block dimensions.
+    No later degree reads the rows of max_degree, so its blocks are
+    eliminated forward only (linalg.primitive_echelon_rows with reduced
+    False), for their rank.
 
     Only the span of a block matters, so a row may be multiplied by any
-    nonzero scalar, and the recursion runs on integer rows over the
-    Z[zeta_M] of _subfield.  Write q_ij = num_ij / den_ij with num_ij in
-    Z[zeta_M] and den_ij a positive integer (Scalar.den); the insertion
-    maps are scaled to Z[zeta_M] (see _insertion_map).  A row is one flat
-    int list of phi(M) planes, plane t holding the zeta_M^t coefficients
-    over the block's words; for M = 1 it is a plain integer row.
-    linalg.primitive_echelon_rows eliminates each block fraction-free and
-    returns the rows of the exact reduced echelon form over Q(zeta_M),
-    each scaled by a nonzero rational (pivots are made rational integers
-    by the product of their other Galois conjugates), so the ranks are
-    those over Q(zeta_N) and no Scalar or Fraction arises between degrees.
+    nonzero scalar, and the recursion runs on integer rows over the ring
+    of _ring.  Write q_ij = num_ij / den_ij with num_ij in Z[zeta_M] and
+    den_ij a positive integer (Scalar.den); the insertion maps are scaled
+    to Z[zeta_M] (see _insertion_map).  A row is one flat int list of
+    ring.degree planes, plane t holding the g^t coefficients over the
+    block's words for the ring's generator g; over Z it is a plain integer
+    row.  linalg.primitive_echelon_rows eliminates each block fraction-free
+    and returns the rows of the exact reduced echelon form over the
+    ring's field, each scaled by a nonzero rational (pivots are made
+    rational integers by the product of their other Galois conjugates), so
+    the ranks are those over Q(zeta_N) and no Scalar or Fraction arises
+    between degrees.
+
+    The real form.  Let sigma be the complex conjugation z -> z^-1.  If
+    sigma(q_ij) q_ji = 1 for all i, j (_unitary: the h-class at a root of
+    unity, whose q is symmetric, and every unitary q), then
+    sigma(im Sym_n) = im Sym_n on every block:
+
+    1. reversing the output word turns the inversion set of a permutation
+       into its complement, so R Sym_n(q) = Sym_n(q^-1) D, with R the
+       reversal of words and D diagonal and invertible;
+    2. R Sym_n(q) R = Sym_n(q^T);
+    3. by 1 and 2, im Sym_n(q^-1) = im Sym_n(q^T) for every q, so
+       sigma(im Sym_n(q)) = im Sym_n(sigma q) = im Sym_n((q^T)^-1)
+       = im Sym_n(q).
+
+    Descent: with w = zeta + zeta^-1, Z[zeta] = Z[w] + zeta Z[w], since
+    zeta^2 = w zeta - 1.  A generator over Z[w] rows is g = g0 + zeta g1
+    with g0, g1 over Z[w] (the insertion coefficients split by _ring).
+    The span is sigma-stable, so g1 = (g - sigma g)/(zeta - zeta^-1) and
+    g0 = g - zeta g1 lie in it, and the block's span has the basis that
+    {g0, g1} has over Z[w]: rows of phi(M)/2 planes instead of phi(M).
 
     When the letter reversal s(i) = d - 1 - i fixes q, that is
     q[s(i)][s(j)] = q[i][j] (for two letters: q_11 = q_22 and q_12 = q_21),
     relabelling every word by s maps Sym_n on block c onto Sym_n on block
     c[::-1] entry for entry, by induction on the row recursion.  Only one
     of the two blocks is then eliminated, and its basis relabelled by s
-    serves for the other.  s reverses the lexicographic order of words of
-    one length, so the relabelled rows are the rows reversed plane by
-    plane.
+    serves for the other (at max_degree only its rank is read).  s sends
+    the word u of length n to d^n - 1 - u and reverses the order of words,
+    so the relabelled rows are the rows reversed plane by plane.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -335,35 +428,36 @@ def graded_dims(m: YDModule, max_degree: int) -> HilbertPrefix:
     if all(v == 1 for row in den for v in row):
         den = None
     memo = {}
-    order, num = _subfield(q, m.order)
-    planes = len(num[0][0])
-    one = [1] + [0] * (planes - 1)
-    if planes == 1:
+    order, num, ring, split = _ring(q, m.order)
+    if split is None:
         # plain ints: the planar route on one-int lists cost classify-report
         # 16%, and one insertion map for both routes graded_dims 4-5%
-        num = [[n for n, in row] for row in num]
         block = partial(_rational_block, num=num, den=den, memo=memo)
     else:
-        block = partial(_cyclotomic_block, num=num, den=den, order=order, one=one,
-                        wrap=zeta_phi(order), memo=memo)
-    blocks = {(0,) * d: ([()], [one])}
+        one = [1] + [0] * (len(num[0][0]) - 1)
+        block = partial(_planar_block, num=num, den=den, one=one, mul=partial(mul_nums, order),
+                        ring=ring, split=split, memo=memo)
+    blocks = {(0,) * d: ([0], [[1] + [0] * (ring.degree - 1)])}
     dims = [1]
-    for _ in range(max_degree):
+    for n in range(max_degree):
+        top = n + 1 == max_degree
         spans = {}
         for c, (words, rows) in blocks.items():
             for x in range(d):
                 target = c[:x] + (c[x] + 1,) + c[x + 1:]
                 if not (mirror and target[::-1] > target):
-                    spans.setdefault(target, []).append((words, rows, x))
-        blocks = {}
+                    spans.setdefault(target, []).append((c, words, rows, x))
+        blocks, dim = {}, 0
         for c, parts in spans.items():
-            words, rows = block(parts)
-            if rows:
+            words, rows = block(parts, n, not top)
+            twin = mirror and c[::-1] != c
+            dim += len(rows) * (2 if twin else 1)
+            if rows and not top:
                 blocks[c] = (words, rows)
-                if mirror and c[::-1] != c:
-                    blocks[c[::-1]] = ([tuple(d - 1 - i for i in w) for w in reversed(words)],
-                                       _mirrored(rows, planes))
-        dims.append(sum(len(rows) for _, rows in blocks.values()))
+                if twin:
+                    blocks[c[::-1]] = ([d ** (n + 1) - 1 - w for w in reversed(words)],
+                                       _mirrored(rows, ring.degree))
+        dims.append(dim)
     return HilbertPrefix(tuple(dims))
 
 

@@ -91,9 +91,21 @@ def braid_suite(order: int = DEFAULT_ORDER) -> SuiteResult:
         if isinstance(m, ReflectionClassModule):
             check = reflection_braid_check(m)
         else:
-            check = CheckResult(diagonal_type(m) is not None)
+            check = _diagonal_check(m)
         res.record(f"braid equation: {m!r}", check.ok, _failure(check))
     return res
+
+
+def _diagonal_check(m) -> CheckResult:
+    """Diagonal type of a finite module; the witness is the first basis
+    pair (v, w), in basis order, with c(v (x) w) not a multiple of w (x) v,
+    as (pair, braided, expected) strings."""
+    if diagonal_type(m) is not None:
+        return CheckResult(True)
+    basis = m.basis()
+    v, w, t = next((v, w, t) for v in basis for w in basis
+                   for t in (m.braid(v, w),) if (t.left, t.right) != (w, v))
+    return CheckResult(False, (f"c({v}(x){w})", str(t), f"q*{w}(x){v}"))
 
 
 def yd_suite(order: int = DEFAULT_ORDER) -> SuiteResult:

@@ -8,11 +8,14 @@ import pytest
 
 from dinfnichols import field
 from dinfnichols.field import (
+    INTEGERS,
     Scalar,
     conjugate_product,
     cyclotomic_polynomial,
     mul_nums,
     parse_scalar,
+    real_parts,
+    real_ring,
     root_of_unity_order,
     zeta_phi,
 )
@@ -388,3 +391,51 @@ def test_inverse_checks_the_norm(monkeypatch):
         x.inverse()
     monkeypatch.undo()
     assert x.inverse() == expect
+
+
+@pytest.mark.parametrize("order", (3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 24))
+def test_real_ring_is_the_real_subfield(order):
+    # w = z + z^-1 satisfies w^m = sum c w^j over wrap, m = phi(N)/2; its
+    # conjugate product times x is a nonzero rational; real_parts(x) = (x0, x1)
+    # gives x = x0(w) + z x1(w) back; all checked in Scalar arithmetic
+    phi = len(cyclotomic_polynomial(order)) - 1
+    ring = real_ring(order)
+    assert ring.degree == phi // 2 and (ring == INTEGERS) == (phi == 2)
+    z = Scalar.zeta(order)
+    w = z + z.inverse()
+
+    def over_w(coeffs):
+        return sum((c * w ** t for t, c in enumerate(coeffs)), Scalar.zero(order))
+
+    if ring != INTEGERS:
+        assert w ** ring.degree == sum((c * w ** j for j, c in ring.wrap), Scalar.zero(order))
+    rng = random.Random(order)
+    for _ in range(10):
+        x = [rng.randint(-4, 4) for _ in range(ring.degree)]
+        if any(x) and ring.conj is not None:
+            norm = over_w(x) * over_w(ring.conj(x))
+            assert norm.is_rational() and norm != 0
+        nums = [rng.randint(-4, 4) for _ in range(phi)]
+        x0, x1 = real_parts(order, nums)
+        assert len(x0) == len(x1) == ring.degree
+        assert over_w(x0) + z * over_w(x1) == Scalar(order, nums)
+        assert over_w(x0).conjugate() == over_w(x0)
+    with pytest.raises(ValueError):
+        real_ring(2)
+
+
+def test_conjugate_is_complex_conjugation():
+    for text in ("z", "1/2+z", "z^3-2z+1/3", "5"):
+        x = Scalar.parse(text, 12)
+        assert x.conjugate().to_complex() == pytest.approx(x.to_complex().conjugate())
+        assert x.conjugate().conjugate() == x
+
+
+def test_exact_division_raises_under_optimize():
+    # the checks of the exact polynomial division are exceptions, not
+    # assert statements, so python -O keeps them
+    assert field._poly_divexact([-1, 0, 1], [-1, 1]) == [1, 1]
+    with pytest.raises(ArithmeticError):
+        field._poly_divexact([1, 0, 1], [-1, 1])
+    with pytest.raises(ArithmeticError):
+        field._poly_divexact([1, 1], [0, 2])

@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 
-from dinfnichols.field import Scalar
+from dinfnichols.field import INTEGERS, Scalar, cyclotomic_ring, real_parts, real_ring
 from dinfnichols.linalg import echelon_rows, exact_rank, numeric_rank, primitive_echelon_rows
 
 ORDER = 12
@@ -163,7 +163,7 @@ def random_cyclotomic(rng, order):
 def check_cyclotomic_echelon(a, order):
     width = len(a[0])
     expect = echelon_rows(a)
-    got = primitive_echelon_rows(planar_rows(a, order), order)
+    got = primitive_echelon_rows(planar_rows(a, order), cyclotomic_ring(order))
     assert len(got) == len(expect)
     for row, e in zip(got, expect):
         assert all(type(x) is int for x in row)
@@ -200,20 +200,105 @@ def test_cyclotomic_echelon_rows_match_scalar_elimination():
         # one row and z^3 times it: rank 1
         row = [random_cyclotomic(rng, order) for _ in range(4)]
         assert check_cyclotomic_echelon([row, [z ** 3 * c for c in row]], order) == 1
-        assert primitive_echelon_rows([], order) == []
-        assert primitive_echelon_rows([[0] * (2 * len(z.nums))] * 3, order) == []
+        assert primitive_echelon_rows([], cyclotomic_ring(order)) == []
+        assert primitive_echelon_rows([[0] * (2 * len(z.nums))] * 3, cyclotomic_ring(order)) == []
 
 
 def test_integer_kernel_on_rational_input_is_the_phi_one_kernel():
-    # phi = 1 (orders 1 and 2) is the plain integer elimination; a rational
-    # matrix laid out in planes over Z[zeta_12] gives the same rows with
-    # zero planes above the first
+    # phi = 1 (orders 1 and 2) is the plain integer elimination, Z itself;
+    # a rational matrix laid out in planes over Z[zeta_12] gives the same
+    # rows with zero planes above the first
     rng = random.Random(7)
     for case in range(30):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         a = sparse_matrix(rng, rows, cols, case % 2 == 1 and rows > 1, random_rational)
         plain = integer_rows(a)
         expect = primitive_echelon_rows(plain)
-        assert primitive_echelon_rows(plain, 1) == expect == primitive_echelon_rows(plain, 2)
-        planar = primitive_echelon_rows([r + [0] * (3 * cols) for r in plain], ORDER)
+        assert cyclotomic_ring(1) == INTEGERS == cyclotomic_ring(2)
+        planar = primitive_echelon_rows([r + [0] * (3 * cols) for r in plain],
+                                        cyclotomic_ring(ORDER))
         assert planar == [r + [0] * (3 * cols) for r in expect]
+
+
+# -- forward elimination, and the real ring Z[w] ------------------------------
+
+def real_rows(rng, order, rows, cols):
+    """Random rows over Z[w], w = z + z^-1, as flat planes, and the same
+    rows as a Scalar matrix over Q(zeta_N); some rows are others times w or
+    1 + w, so the matrix is often rank deficient."""
+    degree = real_ring(order).degree
+    w = Scalar.zeta(order) + Scalar.zeta(order, -1)
+    a = [[sum((rng.randint(-3, 3) * w ** t for t in range(degree)), Scalar.zero(order))
+          if rng.random() < 0.5 else Scalar.zero(order) for _ in range(cols)]
+         for _ in range(rows)]
+    for _ in range(rows // 3):
+        r, s = rng.sample(range(rows), 2)
+        f = w if rng.random() < 0.5 else 1 + w
+        a[r] = [f * c for c in a[s]]
+    return [[real_coefficients(c, order)[t] for t in range(degree) for c in row]
+            for row in a], a
+
+
+def real_coefficients(c, order):
+    """The Z[w] coefficients of an element c of Z[w] inside Q(zeta_N)."""
+    x0, x1 = real_parts(order, [int(v) for v in c.nums])
+    assert c.den == 1 and not any(x1), c
+    return x0
+
+
+def ring_cases(rng):
+    """(ring, flat int rows, the same rows as Scalars, width) over Z, Z[zeta_N]
+    for N = 5, 8, 12, and Z[w] for N = 5, 12, 16."""
+    for _ in range(12):
+        rows, cols = rng.randint(2, 9), rng.randint(1, 9)
+        a = sparse_matrix(rng, rows, cols, rng.random() < 0.5, random_rational)
+        yield INTEGERS, integer_rows(a), a, cols
+    for order in (5, 8, 12):
+        zero = Scalar.zero(order)
+        for _ in range(12):
+            rows, cols = rng.randint(2, 8), rng.randint(1, 8)
+            a = [[random_cyclotomic(rng, order) if rng.random() < 0.4 else zero
+                  for _ in range(cols)] for _ in range(rows)]
+            if rng.random() < 0.5:
+                r, s = rng.sample(range(rows), 2)
+                a[r] = [(1 + Scalar.zeta(order)) * c for c in a[s]]
+            yield cyclotomic_ring(order), planar_rows(a, order), a, cols
+    for order in (5, 12, 16):
+        for _ in range(12):
+            rows, cols = rng.randint(2, 8), rng.randint(1, 8)
+            ints, a = real_rows(rng, order, rows, cols)
+            yield real_ring(order), ints, a, cols
+
+
+def ring_scalars(row, ring, order, width):
+    """A flat row of planes over ring as Scalars of Q(zeta_N)."""
+    if ring.degree == 1:
+        return [Scalar.from_rational(x, order) for x in row]
+    g = (Scalar.zeta(order) if ring == cyclotomic_ring(order)
+         else Scalar.zeta(order) + Scalar.zeta(order, -1))
+    return [sum((row[t * width + j] * g ** t for t in range(ring.degree)), Scalar.zero(order))
+            for j in range(width)]
+
+
+def test_forward_elimination_is_an_echelon_basis_of_the_same_span():
+    # reduced=False updates only the rows below each pivot: the rows are in
+    # echelon form with positive rational pivots, their number is the rank
+    # of the reduced rows, and they span what echelon_rows spans
+    rng = random.Random(20261020)
+    deficient_seen = 0
+    for ring, ints, a, width in ring_cases(rng):
+        order = a[0][0].order
+        forward = primitive_echelon_rows(ints, ring, reduced=False)
+        reduced = primitive_echelon_rows(ints, ring)
+        expect = echelon_rows(a)
+        assert len(forward) == len(reduced) == len(expect) == exact_rank(a)
+        deficient_seen += len(forward) < min(len(a), width)
+        leads = []
+        for row in forward:
+            entries = ring_scalars(row, ring, order, width)
+            lead = next(j for j, x in enumerate(entries) if x)
+            assert entries[lead].is_rational() and entries[lead].as_rational() > 0
+            leads.append(lead)
+        assert leads == sorted(set(leads))
+        assert echelon_rows([ring_scalars(row, ring, order, width) for row in forward]) == expect
+    assert deficient_seen >= 15

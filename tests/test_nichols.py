@@ -11,7 +11,7 @@ import pytest
 
 from dinfnichols import linalg, nichols
 from dinfnichols.classify import default_grid, enumerate_families
-from dinfnichols.field import Scalar
+from dinfnichols.field import INTEGERS, Scalar, cyclotomic_ring, real_ring
 from dinfnichols.linalg import exact_rank, identity, mat_eq, numeric_rank, zeros
 from dinfnichols.nichols import (
     DEGREE_CAP,
@@ -408,32 +408,44 @@ PINNED_SUBFIELD = {
 
 
 def test_graded_dims_runs_in_the_least_cyclotomic_subring(monkeypatch):
-    # z^4 at N = 12 and z^3 at N = 9 are primitive cube roots of unity:
-    # the recursion runs over Z[zeta_6] and Z[zeta_3] (two planes) and
-    # gives the series of zeta_3 itself; z and 1/2 + z keep all of Z[zeta_12].
-    # z^3 and z^9 at N = 12 are +-i and run over Z[zeta_4], z^5 and z^10 at
-    # N = 15 over Z[zeta_3], and a = 2 on one plane.  z^3 at N = 15 is a
-    # primitive 5th root, but its inverse z^12 has exponents off the
-    # multiples of 3, so the gcd rule keeps all of Z[zeta_15] (its known limit)
-    orders = []
+    # each input with the order M of its field (the gcd rule of _subfield)
+    # and the ring its rows run on (_ring).  The h-class at a root of unity
+    # is unitary and runs over the real subfield: z at N = 12 over Z[w] with
+    # w = z + z^-1, w^2 = 3 (two planes instead of four), and z^3 at N = 15
+    # over the degree-4 real subfield of Q(zeta_15) (four instead of eight).
+    # Every cube, fourth and sixth root of unity runs on plain integers, as
+    # Q(zeta_M)^+ = Q for M = 3, 4, 6: z^4 and z^2 at N = 12 (M = 6), z^3 at
+    # N = 9, z at N = 3, z^5 and z^10 at N = 15 (M = 3) and z^3, z^9 at
+    # N = 12 (+-i, M = 4); the cube roots give the series of z^4 itself.  1/2 + z is not
+    # unitary and keeps all of Z[zeta_12]; a = 2 is rational, M = 1.  z^3 at
+    # N = 15 is a primitive 5th root, but its inverse z^12 has exponents off
+    # the multiples of 3, so the gcd rule keeps M = 15 (its known limit)
+    rings = []
     kernel = linalg.primitive_echelon_rows
 
-    def record(a, order=1):
-        orders.append(order)
-        return kernel(a, order)
+    def record(a, ring=INTEGERS, reduced=True):
+        rings.append(ring)
+        return kernel(a, ring, reduced)
 
+    assert real_ring(12).degree == 2 and real_ring(12).wrap == ((0, 3),)
+    assert real_ring(15).degree == 4
     monkeypatch.setattr(linalg, "primitive_echelon_rows", record)
-    for a, order, used in (("z^4", 12, 6), ("z^3", 9, 3), ("z", 3, 3), ("z^2", 12, 6),
-                           ("z", 12, 12), ("1/2+z", 12, 12), ("z^3", 12, 4), ("z^9", 12, 4),
-                           ("z^5", 15, 3), ("z^10", 15, 3), ("z^3", 15, 15), ("2", 12, 1)):
-        orders.clear()
+    for a, order, field, ring in (
+            ("z^4", 12, 6, INTEGERS), ("z^3", 9, 3, INTEGERS), ("z", 3, 3, INTEGERS),
+            ("z^2", 12, 6, INTEGERS), ("z", 12, 12, real_ring(12)),
+            ("1/2+z", 12, 12, cyclotomic_ring(12)), ("z^3", 12, 4, INTEGERS),
+            ("z^9", 12, 4, INTEGERS), ("z^5", 15, 3, INTEGERS), ("z^10", 15, 3, INTEGERS),
+            ("z^3", 15, 15, real_ring(15)), ("2", 12, 1, INTEGERS)):
+        rings.clear()
         pinned = PINNED_SUBFIELD.get((a, order))
         degree = 7 if pinned is None else len(pinned) - 1
-        dims = graded_dims(HClassModule(1, Scalar.parse(a, order)), degree)
-        assert set(orders) == {used}, (a, order)
+        m = HClassModule(1, Scalar.parse(a, order))
+        assert nichols._ring(nichols._braiding_matrix(m), order)[0] == field, (a, order)
+        dims = graded_dims(m, degree)
+        assert rings and all(r == ring for r in rings), (a, order)
         if pinned is not None:
             assert tuple(dims) == pinned, (a, order)
-        if used == 3:
+        if field == 3:
             assert tuple(dims) == PINNED_H_CLASS["z^4"][:degree + 1]
 
 
@@ -475,24 +487,97 @@ def test_subfield_numerators_spread_back_to_the_scalar(order):
 
 
 def test_graded_dims_under_python_O():
-    # no assert statement guards the integer route: under -O the pinned
-    # prefixes and the field inverse come out the same
+    # no assert statement guards the integer routes: under -O the pinned
+    # prefixes, the rings of the real form (z: 2 planes, z^3 and z^4: 1,
+    # zeta_7: 3) and the field inverse come out the same
     script = (
+        "from dinfnichols import nichols\n"
         "from dinfnichols.field import Scalar\n"
-        "from dinfnichols.nichols import graded_dims\n"
         "from dinfnichols.ydmod import HClassModule\n"
-        "for a in ('z', 'z^3', 'z^4'):\n"
-        "    print(a, tuple(graded_dims(HClassModule(1, Scalar.parse(a, 12)), 6)))\n"
+        "for a, order in (('z', 12), ('z^3', 12), ('z^4', 12), ('z', 7)):\n"
+        "    m = HClassModule(1, Scalar.parse(a, order))\n"
+        "    ring = nichols._ring(nichols._braiding_matrix(m), order)[2]\n"
+        "    print(a, order, ring.degree, tuple(nichols.graded_dims(m, 7)))\n"
         "x = Scalar.parse('1/2+z-3z^3', 12)\n"
         "print(x.inverse() * x == Scalar.one(12), x.inverse().inverse() == x)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == [f"z {PINNED_H_CLASS['z'][:7]}",
-                                f"z^3 {PINNED_H_CLASS['z^3'][:7]}",
-                                f"z^4 {PINNED_H_CLASS['z^4'][:7]}",
+    assert out.splitlines() == [f"z 12 2 {PINNED_H_CLASS['z'][:8]}",
+                                f"z^3 12 1 {PINNED_H_CLASS['z^3'][:8]}",
+                                f"z^4 12 1 {PINNED_H_CLASS['z^4'][:8]}",
+                                f"z 7 3 {PINNED_Z_BY_ORDER[7][:8]}",
                                 "True True"]
+
+
+# -- the real form: unitary braidings run over Q(zeta_M)^+ ----------------------
+
+UNITARY = {
+    "z": True, "z^5": True, "z^4": True, "-z": True,
+    "1/2+z": False, "z^2+z": False, "2": False,
+}
+# unitary, not symmetric: sigma(q_12) q_21 = 2 . 1/2 = 1
+SKEW_UNITARY_Q = DiagonalStub([[Scalar.zeta(12), rat(2)], [rat("1/2"), Scalar.zeta(12, 5)]])
+
+
+def test_unitary_predicate_truth_table():
+    for a, unitary in UNITARY.items():
+        q = nichols._braiding_matrix(HClassModule(1, Scalar.parse(a, ORDER)))
+        assert nichols._unitary(q) is unitary, a
+    assert nichols._unitary(nichols._braiding_matrix(SKEW_UNITARY_Q)) is True
+    assert nichols._unitary(nichols._braiding_matrix(GENERIC_Q)) is False
+
+
+def full_route_rows(monkeypatch, m, degree):
+    """(M, the reduced rows of every block) of graded_dims(m, degree) on the
+    full Z[zeta_M] route, the unitary predicate patched to False."""
+    kept = []
+    kernel = linalg.primitive_echelon_rows
+
+    def record(a, ring=INTEGERS, reduced=True):
+        out = kernel(a, ring, reduced)
+        if reduced:
+            kept.append((ring.degree, out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nichols, "_unitary", lambda q: False)
+        patch.setattr(linalg, "primitive_echelon_rows", record)
+        graded_dims(m, degree)
+    return nichols._subfield(nichols._braiding_matrix(m), m.order)[0], kept
+
+
+@pytest.mark.parametrize("order", (5, 7, 8, 9, 12, 15))
+def test_full_route_rows_are_fixed_by_complex_conjugation(monkeypatch, order):
+    # the lemma of graded_dims: for a = zeta_N^j every reduced echelon row
+    # of the full Z[zeta_M] route, to degree 7, lies in Q(zeta_M)^+
+    for j in range(1, order // 2 + 1):
+        if 2 * j % order == 0:
+            continue
+        field, kept = full_route_rows(monkeypatch, HClassModule(1, Scalar.zeta(order, j)), 7)
+        assert any(planes > 1 for planes, _ in kept), (order, j)
+        for planes, rows in kept:
+            for row in rows:
+                width = len(row) // planes
+                for k in range(width):
+                    x = Scalar(field, row[k::width]) if planes > 1 else Scalar(field, [row[k]])
+                    assert x.conjugate() == x, (order, j, row)
+
+
+def test_real_form_dims_equal_the_full_route(monkeypatch):
+    # a seeded sweep over roots a = zeta_N^j, 3 <= N <= 24, a^2 != 1, and the
+    # skew unitary q: the real form gives the dims of the full Z[zeta_M] route
+    rng = random.Random(23)
+    roots = [(order, j) for order in range(3, 25) for j in range(1, order) if 2 * j % order]
+    cases = [HClassModule(1, Scalar.zeta(order, j)) for order, j in rng.sample(roots, 12)]
+    for m in cases + [SKEW_UNITARY_Q]:
+        q = nichols._braiding_matrix(m)
+        assert nichols._unitary(q)
+        real = tuple(graded_dims(m, 7))
+        with monkeypatch.context() as patch:
+            patch.setattr(nichols, "_unitary", lambda q: False)
+            assert tuple(graded_dims(m, 7)) == real, m
 
 
 def test_graded_dims_degree8():

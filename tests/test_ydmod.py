@@ -843,6 +843,15 @@ def test_braid_suite_catches_a_non_diagonal_h_class(monkeypatch):
     for line in res.lines:
         assert line.startswith("[FAIL] " if "HClassModule" in line else "[PASS] "), line
     assert res.failed == 8
+    # each FAIL line names the first pair that is not q_ij x_j (x) x_i, with
+    # what it braids to; the PASS lines carry nothing after the module
+    for m, line in zip(verify._sample_modules(), res.lines):
+        if isinstance(m, HClassModule):
+            coeff = true_braid(m, X1, X2).coeff
+            witness = ("c(x1(x)x2)", f"({coeff})*x1(x)x1", "q*x2(x)x1")
+            assert line == f"[FAIL] braid equation: {m!r}  {witness}"
+        else:
+            assert line == f"[PASS] braid equation: {m!r}"
 
 
 def test_yd_and_table_proofs_report_a_raising_module(monkeypatch):
