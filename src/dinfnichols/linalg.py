@@ -187,15 +187,27 @@ def primitive_echelon_rows(a, ring: Ring = INTEGERS, reduced: bool = True):
         if p < 0:
             prow, p = [-x for x in prow], -p
         rows[piv], rows[top] = rows[top], prow
+        first = 0 if reduced else top + 1
+        if not planar:
+            # plain integer rows: a whole-row update, one gcd for the content
+            for r in range(first, len(rows)):
+                row = rows[r]
+                f = row[col]
+                if f and r != top:
+                    g = math.gcd(p, f)
+                    s, t = p // g, f // g
+                    rows[r] = _primitive([s * x - t * y for x, y in zip(row, prow)])
+            top += 1
+            continue
         # the pivot row and its powers, whole and on their support only
         live = map(any, zip(*[prow[lo:lo + width] for lo in range(0, degree * width, width)]))
         cols = list(compress(range(width), live))
         idx = [lo + j for lo in range(0, degree * width, width) for j in cols]
         powers = _powers(prow, width, wrap, degree)
         compact = [[v[k] for k in idx] for v in powers]
-        for r in range(0 if reduced else top + 1, len(rows)):
+        for r in range(first, len(rows)):
             row = rows[r]
-            if (row[col] or planar and any(row[col + width::width])) and r != top:
+            if (row[col] or any(row[col + width::width])) and r != top:
                 rows[r] = _eliminate(row, col, width, p, powers, idx, compact)
         top += 1
     return rows[:top]

@@ -11,6 +11,10 @@ Two finite checks prove the arithmetic for all inputs: ``structure_check``
 (unit, the 32 generator triples associate, the defining relations) makes
 ``reduce_word`` right for every word, and ``corner_square_check`` (the
 squares of the corner basis) gives the corner power identity for every n.
+Lambda may also be an indeterminate (``LambdaPoly``, polynomials in lambda
+over Q(zeta_N)): the same checks then prove these facts for every lambda at
+once, and ``table_specialises`` tells whether that proof covers one lambda's
+table.
 
 Every candidate module the corner analysis suggests is run through the
 axiom checker and returned flagged; nothing is assumed, nothing silently
@@ -36,14 +40,113 @@ if TYPE_CHECKING:
 _BASIS_NAMES = ("1", "g", "h", "gh")
 
 
+class LambdaPoly:
+    """A polynomial of positive degree in an indeterminate lambda over
+    Q(zeta_N): ``coeffs`` are Scalars of one order, constant term first,
+    the last one nonzero.
+
+    Arithmetic returns a constant as its Scalar, so Scalar and LambdaPoly
+    together are the ring Q(zeta_N)[lambda], each value in one canonical
+    form, and a LambdaPoly never equals a Scalar.  It carries what the
+    A_lambda arithmetic uses of a Scalar: + - *, negation, ``is_zero``, ==,
+    hash and ``order``; ``evaluate`` substitutes a Scalar for lambda.
+    """
+
+    __slots__ = ("order", "coeffs")
+
+    @classmethod
+    def indeterminate(cls, order: int) -> "LambdaPoly":
+        return _poly(order, [Scalar.zero(order), Scalar.one(order)])
+
+    def is_zero(self) -> bool:
+        return False
+
+    def evaluate(self, lam: Scalar) -> Scalar:
+        """The value at lambda = lam (Horner)."""
+        out = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            out = out * lam + c
+        return out
+
+    def _terms(self, other):
+        # other's coefficients, constant first; None for a foreign type
+        if isinstance(other, LambdaPoly):
+            return other.coeffs
+        if isinstance(other, Scalar):
+            return (other,)
+        if isinstance(other, (int, Fraction)):
+            return (Scalar.from_rational(other, self.order),)
+        return None
+
+    def __add__(self, other):
+        b = self._terms(other)
+        if b is None:
+            return NotImplemented
+        a = self.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return _poly(self.order, [x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        b = self._terms(other)
+        return NotImplemented if b is None else self + _poly(self.order, [-c for c in b])
+
+    def __rsub__(self, other):
+        b = self._terms(other)
+        return NotImplemented if b is None else -self + _poly(self.order, list(b))
+
+    def __neg__(self):
+        return _poly(self.order, [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        b = self._terms(other)
+        if b is None:
+            return NotImplemented
+        a = self.coeffs
+        if len(b) == 1:
+            c = b[0]
+            return _poly(self.order, [x if x.is_zero() else c * x for x in a])
+        out = [Scalar.zero(self.order)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x.is_zero():
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
+        return _poly(self.order, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, LambdaPoly):
+            return self.coeffs == other.coeffs
+        return False if self._terms(other) is not None else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+
+def _poly(order: int, coeffs: list):
+    # trailing zeros dropped; a constant is returned as its Scalar
+    n = len(coeffs)
+    while n > 1 and coeffs[n - 1].is_zero():
+        n -= 1
+    if n == 1:
+        return coeffs[0]
+    out = object.__new__(LambdaPoly)
+    out.order = order
+    out.coeffs = tuple(coeffs[:n])
+    return out
+
+
 class ALambdaElement:
     """Element of A_lambda in the ordered basis (1, g, h, gh)."""
 
     __slots__ = ("lam", "coeffs")
 
     def __init__(self, lam: Scalar, coeffs):
-        cs = tuple(c if isinstance(c, Scalar) else Scalar.from_rational(c, lam.order)
-                   for c in coeffs)
+        cs = tuple(c if isinstance(c, (Scalar, LambdaPoly))
+                   else Scalar.from_rational(c, lam.order) for c in coeffs)
         if len(cs) != 4:
             raise ValueError("A_lambda elements have 4 coefficients")
         self.lam = lam
@@ -86,7 +189,8 @@ class ALambdaElement:
         return _element(self.lam, tuple(-a for a in self.coeffs))
 
     def scale(self, s) -> "ALambdaElement":
-        s = s if isinstance(s, Scalar) else Scalar.from_rational(s, self.lam.order)
+        if not isinstance(s, (Scalar, LambdaPoly)):
+            s = Scalar.from_rational(s, self.lam.order)
         return _element(self.lam, tuple(s * a for a in self.coeffs))
 
     def __mul__(self, other):
@@ -131,7 +235,8 @@ def _basis_product_table(lam: Scalar):
     b_i * b_j in the basis (1, g, h, gh), one per nonzero coefficient.
 
     A unit coefficient is stored as c = None, with ``negate`` set for -1;
-    any other coefficient is the Scalar c, with ``negate`` False.
+    any other coefficient is c (lambda itself for an indeterminate lam),
+    with ``negate`` False.
     """
     one = Scalar.one(lam.order)
     zero = Scalar.zero(lam.order)
@@ -157,6 +262,33 @@ def _basis_product_table(lam: Scalar):
 
     return {ij: tuple(term(k, c) for k, c in enumerate(row) if not c.is_zero())
             for ij, row in table.items()}
+
+
+def table_specialises(symbolic: LambdaPoly, lam: Scalar) -> bool:
+    """Whether the product table of lam is the table of the indeterminate
+    ``symbolic`` evaluated at lam, all 16 entries compared as dense
+    4-vectors (which coefficients a table stores as units depends on the
+    value of lambda).
+
+    Evaluation at lam is a ring homomorphism Q(zeta_N)[lambda] ->
+    Q(zeta_N), and every check here is a polynomial map of the table and
+    of elements polynomial in lambda; so when this holds, each identity
+    proven for ``symbolic`` holds for lam.
+    """
+    generic, table = _basis_product_table(symbolic), _basis_product_table(lam)
+    # equal terms hold no lambda (a LambdaPoly equals no Scalar or None)
+    return all(table[ij] == generic[ij] or _dense(table[ij], lam) == _dense(generic[ij], lam)
+               for ij in generic)
+
+
+def _dense(terms, lam: Scalar) -> list:
+    # the 4-vector of one table entry, its coefficients evaluated at lam
+    one = Scalar.one(lam.order)
+    out = [Scalar.zero(lam.order)] * 4
+    for k, c, negate in terms:
+        value = one if c is None else c.evaluate(lam) if isinstance(c, LambdaPoly) else c
+        out[k] = out[k] - value if negate else out[k] + value
+    return out
 
 
 def alambda_multiply(x: ALambdaElement, y: ALambdaElement) -> ALambdaElement:

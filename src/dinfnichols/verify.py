@@ -8,9 +8,13 @@ The alambda suite checks finite identities that imply its facts for every
 input.  The unit, the 32 generator triples and the defining relations of the
 product table (``repn.structure_check``) make word reduction right for all
 words; the corner squares (``repn.corner_square_check``) give the corner
-power identity for all n.  It verifies the idempotent pair once per lambda
-and reads its corners from that verified pair; a verification that raises
-is recorded as a FAIL line.
+power identity for all n.  It proves these facts, the idempotent pair and
+the radical lines once with lambda an indeterminate (``repn.LambdaPoly``)
+and specialises the proof to each sampled lambda whose product table is the
+indeterminate's evaluated there (``repn.table_specialises``).  Otherwise, or
+when the proof over Q(zeta_N)[lambda] fails, that lambda is checked on its
+own numbers: the idempotent pair once, its corners read from that verified
+pair, and a verification that raises recorded as a FAIL line.
 
 The braid, yd and tables suites prove their facts for the reflection
 modules for all indices: ``ydmod.reflection_braid_check``,
@@ -37,6 +41,7 @@ from .field import DEFAULT_ORDER, Scalar
 from .group import GroupElement
 from .repn import (
     CheckResult,
+    LambdaPoly,
     _corner_data,
     corner_square_check,
     idempotent_pair,
@@ -44,6 +49,7 @@ from .repn import (
     module_axiom_check,
     simple_modules,
     structure_check,
+    table_specialises,
 )
 from .tables import braiding_table_check
 from .ydmod import (
@@ -159,37 +165,29 @@ def tables_suite(order: int = DEFAULT_ORDER) -> SuiteResult:
 
 
 def alambda_suite(order: int = DEFAULT_ORDER) -> SuiteResult:
-    """The A_lambda facts of five lambdas."""
+    """The A_lambda facts of five lambdas, proven once with lambda an
+    indeterminate (``repn.LambdaPoly``) and specialised to each.
+
+    Each check is an identity between polynomials in lambda, so a proof
+    over Q(zeta_N)[lambda] holds at every lambda whose product table is the
+    indeterminate's evaluated there (``repn.table_specialises``).  A
+    nonzero polynomial can still vanish at one lambda: when the proof over
+    Q(zeta_N)[lambda] fails, or a lambda's table does not specialise, that
+    lambda's checks run on its own numbers and report their own witnesses.
+    """
     res = SuiteResult()
     lambdas = [Scalar.zero(order), Scalar.from_rational(2, order),
                Scalar.from_rational(-2, order), Scalar.from_rational(Fraction(3, 2), order),
                Scalar.zeta(order, order // 3)]
+    symbolic = LambdaPoly.indeterminate(order)
+    proven = all(ok for ok, _ in _alambda_checks(symbolic))
     for lam in lambdas:
-        structure = structure_check(lam)
-        res.record(f"word reduction closed and associative: lambda={lam}", structure.ok,
-                   structure.witness or "")
-        # a corrupted table makes the idempotent or radical verification
-        # raise; each failure is a FAIL line, so every check still reports
-        try:
-            pair, failure = idempotent_pair(lam), ""
-        except ArithmeticError as exc:
-            pair, failure = None, str(exc)
-        res.record(f"idempotents verified: lambda={lam}", pair is not None, failure)
-        squares = [corner_square_check(lam, side) for side in ("plus", "minus")]
-        res.record(f"corner power identity: lambda={lam}", all(squares),
-                   "; ".join(c.witness for c in squares if not c.ok))
-        for side in ("plus", "minus"):
-            if pair is None:
-                failure = "idempotent pair not verified"
-            else:
-                try:
-                    # raises unless r^2 = 0 and r kills the corner
-                    _corner_data(lam, side, False, pair)
-                    failure = ""
-                except ArithmeticError as exc:
-                    failure = str(exc)
-            res.record(f"radical line squares to zero: lambda={lam} {side}",
-                       not failure, failure)
+        if proven and table_specialises(symbolic, lam):
+            checks = [(True, "")] * len(_ALAMBDA_CHECKS)
+        else:
+            checks = _alambda_checks(lam)
+        for name, (ok, detail) in zip(_ALAMBDA_CHECKS, checks):
+            res.record(name.format(lam), ok, detail)
     for lam in lambdas[:3] + [Scalar.from_rational(3, order)]:
         for cand in simple_modules(lam):
             if cand.axiom.ok:
@@ -201,6 +199,41 @@ def alambda_suite(order: int = DEFAULT_ORDER) -> SuiteResult:
                     f"lambda={lam} {cand.label}",
                     not cand.axiom.ok, f"witness: {cand.axiom.witness}")
     return res
+
+
+_ALAMBDA_CHECKS = ("word reduction closed and associative: lambda={}",
+                   "idempotents verified: lambda={}",
+                   "corner power identity: lambda={}",
+                   "radical line squares to zero: lambda={} plus",
+                   "radical line squares to zero: lambda={} minus")
+
+
+def _alambda_checks(lam) -> list[tuple[bool, str]]:
+    """(ok, witness) of each check of ``_ALAMBDA_CHECKS`` for lam, a Scalar
+    or the indeterminate."""
+    structure = structure_check(lam)
+    out = [(structure.ok, structure.witness or "")]
+    # a corrupted table makes the idempotent or radical verification
+    # raise; each failure is a FAIL line, so every check still reports
+    try:
+        pair, failure = idempotent_pair(lam), ""
+    except ArithmeticError as exc:
+        pair, failure = None, str(exc)
+    out.append((pair is not None, failure))
+    squares = [corner_square_check(lam, side) for side in ("plus", "minus")]
+    out.append((all(squares), "; ".join(c.witness for c in squares if not c.ok)))
+    for side in ("plus", "minus"):
+        if pair is None:
+            failure = "idempotent pair not verified"
+        else:
+            try:
+                # raises unless r^2 = 0 and r kills the corner
+                _corner_data(lam, side, False, pair)
+                failure = ""
+            except ArithmeticError as exc:
+                failure = str(exc)
+        out.append((not failure, failure))
+    return out
 
 
 SUITES = {"braid": braid_suite, "yd": yd_suite, "tables": tables_suite,

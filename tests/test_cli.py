@@ -206,19 +206,21 @@ def test_classify_default_report_matches_golden(capsys):
     pytest.param("5", False, "0", id="5"),
     pytest.param("12", True, "0", id="12-O"),
     pytest.param("12", False, "3", id="12-seed3"),
+    pytest.param("8", False, "0", id="8"),
+    pytest.param("8", True, "0", id="8-O"),
 ])
 def test_verify_output_matches_pinned(capsys, order, optimized, seed):
     # every check line of the four suites, byte for byte; under python -O
     # too, so that no reported check can hide in an assert; no suite
     # samples, so another seed prints the same bytes
     pinned = Path(__file__).resolve().parent / "golden" / f"verify-w3-s0-z{order}.txt"
-    argv = ["verify", "--suite", "all", "--window", "3", "--seed", seed]
+    argv = ["verify", "--suite", "all", "--window", "3", "--seed", seed, "--zeta-order", order]
     if optimized:
         r = subprocess.run([sys.executable, "-O", "-B", "-m", "dinfnichols.cli", *argv],
                            capture_output=True, text=True)
         code, out = r.returncode, r.stdout
     else:
-        code, out = run_cli(capsys, *argv, "--zeta-order", order)
+        code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == pinned.read_text()
 

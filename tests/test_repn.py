@@ -1,6 +1,10 @@
 import copy
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from dinfnichols.linalg import mat_mul
 from dinfnichols.repn import (
     ALambdaElement,
     FinRep,
+    LambdaPoly,
     alambda_multiply,
     corner_data,
     corner_power_identity,
@@ -21,9 +26,11 @@ from dinfnichols.repn import (
     rep_iso_check,
     simple_modules,
     structure_check,
+    table_specialises,
 )
 
 ORDER = 12
+LAM = LambdaPoly.indeterminate(ORDER)
 
 
 def rat(q):
@@ -104,6 +111,62 @@ def test_multiply_matches_dense_oracle(lam):
         prod = alambda_multiply(x, y)
         assert prod.coeffs == tuple(_dense_multiply(x, y))
         assert prod.lam is lam and all(c.order == ORDER for c in prod.coeffs)
+
+
+def test_lambda_poly_evaluation_is_a_ring_homomorphism():
+    # sums, differences and products of polynomials in lambda evaluate to
+    # the same operations on their values; a constant comes back a Scalar
+    rng = random.Random(2718)
+
+    def poly():
+        out, power = rat(0), rat(1)
+        for _ in range(rng.randint(0, 4)):
+            c = rat(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            out = out + c * Scalar.zeta(ORDER, rng.randrange(ORDER)) * power
+            power = power * LAM
+        return out
+
+    def at(x, lam):
+        return x.evaluate(lam) if isinstance(x, LambdaPoly) else x
+
+    for _ in range(40):
+        x, y = poly(), poly()
+        for lam in LAMBDAS + [rat(1), rat(-1), rat(3)]:
+            assert at(x + y, lam) == at(x, lam) + at(y, lam)
+            assert at(x - y, lam) == at(x, lam) - at(y, lam)
+            assert at(x * y, lam) == at(x, lam) * at(y, lam)
+            assert at(-x, lam) == -at(x, lam)
+            assert at(x * Fraction(1, 2) - 3, lam) == at(x, lam) * Fraction(1, 2) - 3
+    assert LAM - LAM == rat(0) and isinstance(LAM - LAM, Scalar)
+    assert (LAM + 1) * (LAM - 1) == LAM * LAM - 1 != LAM * LAM
+    assert LAM != rat(0) and not LAM.is_zero() and hash(LAM) == hash(LambdaPoly.indeterminate(12))
+    assert LAM.order == ORDER and (2 * LAM).order == ORDER
+
+
+def test_symbolic_products_match_the_dense_oracle_and_specialise():
+    # with lambda an indeterminate, products follow the dense oracle over
+    # Q(zeta_N)[lambda] and evaluate to the products at each lambda
+    rng = random.Random(16180)
+    for _ in range(30):
+        x, y = _random_element(rng, LAM), _random_element(rng, LAM)
+        prod = alambda_multiply(x, y)
+        assert prod.coeffs == tuple(_dense_multiply(x, y))
+        for lam in LAMBDAS:
+            at = [c.evaluate(lam) if isinstance(c, LambdaPoly) else c for c in prod.coeffs]
+            assert tuple(at) == alambda_multiply(ALambdaElement(lam, x.coeffs),
+                                                 ALambdaElement(lam, y.coeffs)).coeffs
+
+
+@pytest.mark.parametrize("lam", LAMBDAS + [rat(1), rat(-1), rat(3), Scalar.zeta(ORDER)], ids=str)
+def test_symbolic_table_specialises(lam):
+    # the indeterminate's table evaluated at lam is lam's table and the
+    # dense oracle's, entry by entry; at +-1 the lambda entries are units
+    generic, table = repn._basis_product_table(LAM), repn._basis_product_table(lam)
+    oracle = _dense_structure_constants(lam)
+    assert generic.keys() == table.keys() == oracle.keys()
+    for ij in generic:
+        assert repn._dense(generic[ij], lam) == repn._dense(table[ij], lam) == list(oracle[ij])
+    assert table_specialises(LAM, lam)
 
 
 def test_h_inverse_in_algebra():
@@ -211,13 +274,15 @@ def test_structure_and_corner_square_checks_pass(lam):
     assert corner_square_check(lam, "plus").ok and corner_square_check(lam, "minus").ok
 
 
-def _corrupt_table(monkeypatch, ij, terms):
-    # b_i * b_j replaced by ``terms`` in the table of every lambda
+def _corrupt_table(monkeypatch, ij, terms, at=None):
+    # b_i * b_j replaced by ``terms`` in the table of every lambda, or of
+    # the lambda ``at`` only; ``terms`` may be a function of lambda
     real = repn._basis_product_table
 
     def corrupted(lam):
         table = dict(real(lam))
-        table[ij] = terms
+        if at is None or lam == at:
+            table[ij] = terms(lam) if callable(terms) else terms
         return table
 
     monkeypatch.setattr(repn, "_basis_product_table", corrupted)
@@ -295,7 +360,7 @@ def test_alambda_suite_reports_corrupt_table(monkeypatch):
     assert res.failed == 25
 
 
-def test_idempotent_pair_verified_once_per_lambda(monkeypatch):
+def _count_idempotent_pairs(monkeypatch):
     from dinfnichols import verify
 
     calls = []
@@ -306,12 +371,103 @@ def test_idempotent_pair_verified_once_per_lambda(monkeypatch):
 
     monkeypatch.setattr(repn, "idempotent_pair", counting)
     monkeypatch.setattr(verify, "idempotent_pair", counting)
+    return calls
+
+
+def test_idempotent_pair_verified_once_per_suite(monkeypatch):
+    # the report verifies its lambda's pair once; the suite verifies the
+    # pair once, for the indeterminate, and for no lambda whose table
+    # specialises
+    from dinfnichols import verify
+
+    calls = _count_idempotent_pairs(monkeypatch)
     repn.alambda_report(rat(2))
     assert calls == [rat(2)]
     calls.clear()
     res = verify.alambda_suite()
     assert res.failed == 0
-    assert len(calls) == len(set(calls)) == 5
+    assert calls == [LAM]
+
+
+# lambda = 2's five lines when its table has g*g = g, as the suite printed
+# them before it proved the facts over Q(zeta_N)[lambda]
+G_G_IS_G_AT_2 = [
+    "[FAIL] word reduction closed and associative: lambda=2  "
+    "(g*g)*h = (1)*gh but g*(g*h) = (1)*h",
+    "[FAIL] idempotents verified: lambda=2  idempotent relation failed",
+    "[FAIL] corner power identity: lambda=2  plus corner: a^2 = 2a fails: the left side is "
+    "(1) + (3)*g; minus corner: a^2 = 2a fails: the left side is (1) + (-1)*g",
+    "[FAIL] radical line squares to zero: lambda=2 plus  idempotent pair not verified",
+    "[FAIL] radical line squares to zero: lambda=2 minus  idempotent pair not verified",
+]
+
+
+def test_alambda_suite_falls_back_where_a_table_does_not_specialise(monkeypatch):
+    # g*g = g in lambda = 2's table only: the proof over Q(zeta_N)[lambda]
+    # holds, but lambda = 2's table is not its specialisation, so lambda = 2
+    # alone runs its checks numerically and fails them with their witnesses
+    from dinfnichols import verify
+
+    clean = verify.alambda_suite().lines
+    _corrupt_table(monkeypatch, *G_G_IS_G, at=rat(2))
+    calls = _count_idempotent_pairs(monkeypatch)
+    res = verify.alambda_suite()
+    assert calls == [LAM, rat(2)]
+    assert res.lines[5:10] == G_G_IS_G_AT_2
+    assert res.failed == 5 and len(res.lines) == 33
+    assert res.lines[:5] + res.lines[10:] == clean[:5] + clean[10:]
+
+
+def test_alambda_suite_fallback_under_python_O():
+    # the same corruption in a python -O process: no assert decides a line
+    script = (
+        "from dinfnichols import repn, verify\n"
+        "from dinfnichols.field import Scalar\n"
+        "real = repn._basis_product_table\n"
+        "def corrupted(lam):\n"
+        "    table = dict(real(lam))\n"
+        "    if lam == Scalar.from_rational(2, 12):\n"
+        "        table[1, 1] = ((1, None, False),)\n"
+        "    return table\n"
+        "repn._basis_product_table = corrupted\n"
+        "res = verify.alambda_suite()\n"
+        "print(res.failed)\n"
+        "print('\\n'.join(res.lines))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[0] == "5" and len(out) == 34
+    assert out[6:11] == G_G_IS_G_AT_2
+    assert sum(line.startswith("[PASS] ") for line in out[1:]) == 28
+
+
+def _h_g_twice_lambda(lam):
+    # h*g = 2 lambda g - gh: wrong for every lambda but 0
+    two_lam = lam * 2
+    return ((1, two_lam, False),) * (not two_lam.is_zero()) + ((3, None, True),)
+
+
+def test_alambda_suite_falls_back_when_the_symbolic_proof_fails(monkeypatch):
+    # the error term 2 lambda g - lambda g vanishes at lambda = 0 only: every
+    # table specialises the corrupted one, but the proof over
+    # Q(zeta_N)[lambda] fails, so every lambda runs numerically, lambda = 0
+    # passes and the other four fail
+    from dinfnichols import verify
+
+    _corrupt_table(monkeypatch, (2, 1), _h_g_twice_lambda)
+    assert not all(ok for ok, _ in verify._alambda_checks(LAM))
+    assert all(table_specialises(LAM, lam) for lam in LAMBDAS)
+    calls = _count_idempotent_pairs(monkeypatch)
+    res = verify.alambda_suite()
+    assert calls[0] == LAM and calls[1:] == [rat(0), rat(2), rat(-2), rat("3/2"),
+                                             Scalar.zeta(ORDER, 4)]
+    assert all(line.startswith("[PASS] ") for line in res.lines[:5])
+    for k in range(1, 5):
+        assert any(line.startswith("[FAIL] ") for line in res.lines[5 * k:5 * k + 5])
+    assert res.lines[5] == ("[FAIL] word reduction closed and associative: lambda=2  "
+                            "(g*h)*g = (2) + (-1)*h but g*(h*g) = (4) + (-1)*h")
+    assert res.failed == 16 and len(res.lines) == 33
 
 
 def test_simple_modules_lambda_zero():
