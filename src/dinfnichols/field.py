@@ -10,17 +10,21 @@ every concrete parameter used by the verification suites.
 A value is stored as integer numerators over one common denominator
 (Cohen, *A Course in Computational Algebraic Number Theory*, 1993, 4.2):
 ``nums`` holds phi(N) Python ints, ``den`` is a positive int, and
-``gcd(den, *nums) == 1``; zero is all zeros over 1.  Phi_N is monic with
-integer coefficients, so products reduce modulo Phi_N in integers; each
-operation ends with one gcd.  The form is canonical, so equality is tuple
-equality.  An inverse is the product of the other Galois conjugates over
-the norm (4.2-4.3), so it too runs on these integer products.  The two
-integer kernels, the product in Z[zeta_N] (mul_nums) and the conjugate
-product (conjugate_product), are functions on plain int lists, so the
-Nichols layer's integer elimination shares them without building Scalars.
-That elimination reads its ring as data (``Ring``): Z, Z[zeta_N]
-(``cyclotomic_ring``) or the ring of integers Z[zeta_N + zeta_N^-1] of the
-real subfield (``real_ring``), with ``real_parts`` splitting an element of
+``gcd(den, *nums) == 1``; zero is all zeros over 1.  The form is
+canonical, so equality is tuple equality.
+
+Every integer ring here is data (``Ring``): its degree, the power of its
+generator that folds back into lower powers, and its conjugate product.
+Z[zeta_N] (``cyclotomic_ring``) is one of them: Phi_N is monic with integer
+coefficients, so z^phi(N) folds back in integers.  One reduction
+(_ring_reduce) and one product loop (_ring_mul) serve every ring, so a
+``Scalar`` operation is an integer product in Z[zeta_N] (mul_nums) and
+one gcd.  An inverse is the product of the other Galois conjugates
+(conjugate_product) over the norm (4.2-4.3), on the same integer
+products.  Both are functions on plain int lists, so the Nichols layer's
+integer elimination shares them without building Scalars; it runs over
+Z, Z[zeta_N] or the ring of integers Z[zeta_N + zeta_N^-1] of the real
+subfield (``real_ring``), with ``real_parts`` splitting an element of
 Z[zeta_N] into its two coordinates over it.
 
 Scalars are immutable and hashable; all operations are pure functions, so
@@ -68,67 +72,73 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+# -- integer rings ----------------------------------------------------------
+
+class Ring(NamedTuple):
+    """An integer ring as ``Scalar``, ``linalg.primitive_echelon_rows`` and
+    the Nichols recursion see it.  An element is ``degree`` ints, its
+    coefficients over 1, g, ..., g^(degree-1) for the ring's generator g;
+    g^degree is sum_j c g^j over the (j, c) pairs of ``wrap``; ``conj(x)``
+    is the product of the Galois conjugates of x other than x itself, so
+    that x conj(x) is the norm of x, a rational integer, nonzero for x != 0
+    (None when the degree is 1, where nothing needs it)."""
+
+    degree: int
+    wrap: tuple
+    conj: Optional[Callable]
+
+
+INTEGERS = Ring(1, ((0, 1),), None)
+
+
 @lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # Row k is x^(deg+k) mod Phi_order as its nonzero (index, int) pairs;
-    # enough rows for any product of two reduced polynomials and for zeta
-    # powers / parsed exponents below order.
+def cyclotomic_ring(order: int) -> Ring:
+    """Z[zeta_N], generated by z, of degree phi(N): z^phi is minus Phi_N
+    less its top term (Phi_N is monic), so z = 1 for N = 1 (Z itself,
+    equal to INTEGERS) and z = -1 for N = 2."""
     phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    count = max(deg - 1, order, 1)
-    rows = []
-    cur = [-c for c in phi[:-1]]  # x^deg = -(lower part), Phi monic
-    for _ in range(count):
-        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for j in range(deg):
-                cur[j] -= top * phi[j]
-    return tuple(rows)
+    degree = len(phi) - 1
+    wrap = tuple((j, -c) for j, c in enumerate(phi[:-1]) if c)
+    return Ring(degree, wrap, partial(conjugate_product, order) if degree > 1 else None)
 
 
-def zeta_phi(order: int) -> tuple[tuple[int, int], ...]:
-    """z^phi(N) in the power basis, as the (j, c) pairs of sum_j c z^j."""
-    return _reduction_rows(order)[0]
+def _ring_reduce(degree: int, wrap, poly: list) -> list[int]:
+    """The int list poly, coefficients over powers of g of any length,
+    reduced in place to ``degree`` ints by g^degree = wrap, highest power
+    first, and returned."""
+    for e in range(len(poly) - 1, degree - 1, -1):
+        c = poly[e]
+        if c:
+            base = e - degree
+            for j, r in wrap:
+                poly[base + j] += c * r
+    del poly[degree:]
+    poly += [0] * (degree - len(poly))
+    return poly
 
 
-def _degree(order: int) -> int:
-    return len(cyclotomic_polynomial(order)) - 1
+def _ring_mul(degree: int, wrap, a, b) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    prod[j] += x * y
+    return _ring_reduce(degree, wrap, prod)
 
 
 @lru_cache(maxsize=None)
 def _zero_tail(order: int) -> tuple[int, ...]:
     # the numerators of z^1 .. z^(deg-1) of a rational value
-    return (0,) * (_degree(order) - 1)
-
-
-def _reduce(order: int, nums: list[int]) -> list[int]:
-    """Reduce integer numerators of any length below order + deg mod Phi."""
-    deg = _degree(order)
-    if len(nums) <= deg:
-        return nums + [0] * (deg - len(nums))
-    rows = _reduction_rows(order)
-    out = nums[:deg]
-    for k in range(deg, len(nums)):
-        c = nums[k]
-        if c:
-            for j, r in rows[k - deg]:
-                out[j] += c * r
-    return out
+    return (0,) * (cyclotomic_ring(order).degree - 1)
 
 
 def mul_nums(order: int, a, b) -> list[int]:
     """Product in Z[zeta_N] of two integer polynomials in z, usually the
     phi(N) coefficients (of 1, z, ..., z^(phi-1)) of two elements; the
     result is reduced modulo Phi_N to phi(N) ints."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    return _reduce(order, prod)
+    degree, wrap, _ = cyclotomic_ring(order)
+    return _ring_mul(degree, wrap, a, b)
 
 
 def _galois(order: int, nums, k: int) -> list[int]:
@@ -137,7 +147,8 @@ def _galois(order: int, nums, k: int) -> list[int]:
     moved = [0] * order
     for i, c in enumerate(nums):
         moved[i * k % order] = c
-    return _reduce(order, moved)
+    degree, wrap, _ = cyclotomic_ring(order)
+    return _ring_reduce(degree, wrap, moved)
 
 
 def conjugate_product(order: int, nums) -> list[int]:
@@ -157,54 +168,6 @@ def conjugate_product(order: int, nums) -> list[int]:
             sigma = _galois(order, nums, k)
             conj = sigma if conj is None else mul_nums(order, conj, sigma)
     return [1] + list(_zero_tail(order)) if conj is None else conj
-
-
-# -- integer rings of the elimination kernels ---------------------------------
-
-class Ring(NamedTuple):
-    """An integer ring as ``linalg.primitive_echelon_rows`` and the Nichols
-    recursion see it.  An element is ``degree`` ints, its coefficients over
-    1, g, ..., g^(degree-1) for the ring's generator g; g^degree is
-    sum_j c g^j over the (j, c) pairs of ``wrap``; ``conj(x)`` is the
-    product of the Galois conjugates of x other than x itself, so that
-    x conj(x) is the norm of x, a rational integer, nonzero for x != 0
-    (None for Z, where nothing needs it)."""
-
-    degree: int
-    wrap: tuple
-    conj: Optional[Callable]
-
-
-INTEGERS = Ring(1, ((0, 1),), None)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_ring(order: int) -> Ring:
-    """Z[zeta_N], generated by z; Z itself for N = 1, 2."""
-    if _degree(order) == 1:
-        return INTEGERS
-    return Ring(_degree(order), zeta_phi(order), partial(conjugate_product, order))
-
-
-def _ring_reduce(degree: int, wrap, poly) -> list[int]:
-    """Integer coefficients over powers of g, of any length, reduced to
-    ``degree`` ints by g^degree = wrap, highest power first."""
-    poly = list(poly) + [0] * (degree - len(poly))
-    for e in range(len(poly) - 1, degree - 1, -1):
-        c = poly[e]
-        if c:
-            for j, r in wrap:
-                poly[e - degree + j] += c * r
-    return poly[:degree]
-
-
-def _ring_mul(degree: int, wrap, a, b) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _ring_reduce(degree, wrap, prod)
 
 
 @lru_cache(maxsize=None)
@@ -236,7 +199,7 @@ def _real_subfield(order: int):
     images = []
     for k in range(2, order // 2 + 1):
         if math.gcd(k, order) == 1:
-            w_k = _ring_reduce(m, wrap, cheb[k])
+            w_k = _ring_reduce(m, wrap, list(cheb[k]))
             powers = [one]
             for _ in range(m - 1):
                 powers.append(_ring_mul(m, wrap, powers[-1], w_k))
@@ -306,7 +269,8 @@ class Scalar:
     def __new__(cls, order: int, coeffs):
         parts = [_rational_parts(c) for c in coeffs]
         den = math.lcm(*(d for _, d in parts))
-        nums = _reduce(order, [n * (den // d) for n, d in parts])
+        degree, wrap, _ = cyclotomic_ring(order)
+        nums = _ring_reduce(degree, wrap, [n * (den // d) for n, d in parts])
         return _canonical(order, nums, den)
 
     def __setattr__(self, *_):
@@ -570,14 +534,17 @@ _TERM_RE = re.compile(
 def parse_scalar(text: str, order: int = DEFAULT_ORDER) -> Scalar:
     """Parse the grammar produced by :func:`format_scalar`.
 
-    Accepts "3/2", "-1", "z^2+1/3", "2*z", "2z^3-z+1/2"; whitespace ignored.
+    Accepts "3/2", "-1", "z^2+1/3", "2*z", "2z^3-z+1/2"; spaces are
+    ignored, except between two digits ("1 2" is refused, not read as 12).
     Each term takes at most one sign, and "*" only after a coefficient.
     """
+    split = re.search(r"\d +\d", text)
+    if split:
+        raise ValueError(f"space between digits at {split.start() + 1} in {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar string")
-    deg_bound = max(_degree(order), order)
-    coeffs = [0] * (deg_bound + 1)
+    coeffs = [0] * order
     pos = 0
     first = True
     while pos < len(s):

@@ -13,12 +13,14 @@ ring.  The ring comes as data (field.Ring): its degree (the number of
 coefficient planes of a row), ``wrap`` (its generator g to the power of the
 degree, in lower powers) and ``conj`` (the product of the other Galois
 conjugates of an element).  Z (field.INTEGERS, a plain integer row),
-Z[zeta_N] (field.cyclotomic_ring) and the real Z[zeta_N + zeta_N^-1]
-(field.real_ring) all fit.  Pivots are made rational integers by conj, so
-a row update is an integer combination of whole integer lists.  The
-Nichols layer eliminates every block this way, forward only when it needs
-just the rank.  The tests check it against echelon_rows, which stays the
-reference, as do exact_rank and nullspace for the representation layer.
+Z[zeta_N] (field.cyclotomic_ring, the ring of Scalar arithmetic) and the
+real Z[zeta_N + zeta_N^-1] (field.real_ring) all fit; a ring of degree 1,
+such as Z[zeta_2] = Z, takes plain integer rows whatever its wrap.
+Pivots are made rational integers by conj, so a row update is an integer
+combination of whole integer lists.  The Nichols layer eliminates every
+block this way, forward only when it needs just the rank.  The tests check
+it against echelon_rows, which stays the reference, as do exact_rank and
+nullspace for the representation layer.
 """
 
 from __future__ import annotations

@@ -69,8 +69,7 @@ from itertools import compress, product
 from typing import Optional
 
 from . import linalg
-from .field import (INTEGERS, Scalar, cyclotomic_polynomial, cyclotomic_ring, mul_nums,
-                    real_parts, real_ring)
+from .field import INTEGERS, Scalar, cyclotomic_ring, mul_nums, real_parts, real_ring
 from .ydmod import YDModule, diagonal_type
 
 DEGREE_CAP = 8
@@ -321,7 +320,7 @@ def _subfield(q, order):
     z^12 reduces off the multiples of 3, so M stays 15.
     """
     e = math.gcd(order, *(i for row in q for v in row for i, c in enumerate(v.nums) if c))
-    phi = len(cyclotomic_polynomial(order // e)) - 1
+    phi = cyclotomic_ring(order // e).degree
     return order // e, [[list(v.nums[::e]) + [0] * (phi - len(v.nums[::e])) for v in row]
                         for row in q]
 

@@ -70,6 +70,12 @@ def test_nichols_rejects_infinite(capsys):
         main(["nichols", "--family", "g-class", "--rep", "sign"])
 
 
+def test_nichols_rejects_a_space_between_digits(capsys):
+    # "1 2" is refused, not run as a = 12
+    with pytest.raises(SystemExit, match="h-class: space between digits"):
+        main(["nichols", "--family", "h-class", "--a", "1 2"])
+
+
 def test_nichols_rejects_past_cap(capsys):
     with pytest.raises(SystemExit, match="exceeds the degree cap 8"):
         main(["nichols", "--family", "h-class", "--a", "2", "--max-degree", "9"])

@@ -12,12 +12,12 @@ from dinfnichols.field import (
     Scalar,
     conjugate_product,
     cyclotomic_polynomial,
+    cyclotomic_ring,
     mul_nums,
     parse_scalar,
     real_parts,
     real_ring,
     root_of_unity_order,
-    zeta_phi,
 )
 
 
@@ -130,6 +130,16 @@ def test_string_roundtrip():
             parse_scalar(bad)
 
 
+def test_parse_refuses_a_space_between_digits():
+    # spaces are dropped before parsing, so "1 2" would read as 12
+    for bad in ("1 2", "z^1 2", "1/2 3", "-1  2z"):
+        with pytest.raises(ValueError, match="space between digits"):
+            parse_scalar(bad)
+    assert parse_scalar("z ^ 2") == Scalar.zeta(12, 2)
+    assert parse_scalar("3/2 + z") == rat("3/2") + Scalar.zeta(12)
+    assert parse_scalar(" 1 / 2 z ") == rat("1/2") * Scalar.zeta(12)
+
+
 def test_numeric_embedding_cross_check():
     rng = random.Random(99)
     for _ in range(40):
@@ -161,10 +171,11 @@ def test_hash_consistency():
 
 # -- independent oracle: one Fraction per coefficient ------------------------
 #
-# The library stores integer numerators over one denominator and reduces with
-# an integer table.  The reference below is the plain textbook version: a
-# list of Fractions, schoolbook product, reduction by repeated substitution
-# of x^deg = -(Phi_N - x^deg), inverse by solving the multiplication matrix.
+# The library stores integer numerators over one denominator and reduces in
+# integers, folding z^phi back into lower powers.  The reference below is the
+# plain textbook version: a list of Fractions, schoolbook product, reduction
+# by repeated substitution of x^deg = -(Phi_N - x^deg), inverse by solving
+# the multiplication matrix.
 
 # 15: (Z/15)^* is C2 x C4, a non-cyclic Galois group of degree 8
 ORACLE_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
@@ -374,11 +385,36 @@ def test_conjugate_product_gives_the_norm(order):
 
 @pytest.mark.parametrize("order", (1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 24))
 def test_zeta_phi_is_the_reduced_power(order):
-    # the pairs that fold z^phi back into the power basis are z^phi reduced
+    # the pairs that fold z^phi back into the power basis of Z[zeta_N] are
+    # z^phi reduced by the Fraction oracle
+    ring = cyclotomic_ring(order)
     phi = len(cyclotomic_polynomial(order)) - 1
-    power = mul_nums(order, [1], [0] * phi + [1])
-    assert zeta_phi(order) == tuple((j, c) for j, c in enumerate(power) if c)
+    power = ref_reduce(order, [0] * phi + [1])
+    assert ring.degree == phi
+    assert ring.wrap == tuple((j, int(c)) for j, c in enumerate(power) if c)
     assert Scalar.zeta(order, phi) == Scalar(order, power)
+
+
+def test_large_order_matches_the_oracle():
+    # N = 3000, phi = 800: Phi_N = Phi_30(x^100) has seven terms, so a
+    # parse and a product fold back through a sparse wrap hundreds of
+    # powers long; the oracle gets operands cut after their last nonzero
+    # coefficient, which keeps its Fraction loops short
+    order = 3000
+    x = Scalar.parse("z^850-3/2z^799+z^5+2", order)
+    coeffs = [Fraction(0)] * 851
+    for e, c in ((850, 1), (799, Fraction(-3, 2)), (5, 1), (0, 2)):
+        coeffs[e] = Fraction(c)
+    assert_canonical(x)
+    assert value(x) == ref_reduce(order, coeffs)
+    y = Scalar.parse("3z^7+z^2-5", order)
+    xy = x * y
+
+    def cut(v):
+        return v[:max(i for i, c in enumerate(v) if c) + 1]
+
+    assert_canonical(xy)
+    assert value(xy) == ref_mul(order, cut(value(x)), cut(value(y)))
 
 
 def test_inverse_checks_the_norm(monkeypatch):

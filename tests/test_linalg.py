@@ -205,16 +205,20 @@ def test_cyclotomic_echelon_rows_match_scalar_elimination():
 
 
 def test_integer_kernel_on_rational_input_is_the_phi_one_kernel():
-    # phi = 1 (orders 1 and 2) is the plain integer elimination, Z itself;
+    # phi = 1 (orders 1 and 2) is the plain integer elimination: Z[zeta_1]
+    # and Z[zeta_2] are Z, with z = 1 and z = -1, and give the rows of Z;
     # a rational matrix laid out in planes over Z[zeta_12] gives the same
     # rows with zero planes above the first
+    assert cyclotomic_ring(1).wrap == ((0, 1),)
+    assert cyclotomic_ring(2).wrap == ((0, -1),)
     rng = random.Random(7)
     for case in range(30):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         a = sparse_matrix(rng, rows, cols, case % 2 == 1 and rows > 1, random_rational)
         plain = integer_rows(a)
         expect = primitive_echelon_rows(plain)
-        assert cyclotomic_ring(1) == INTEGERS == cyclotomic_ring(2)
+        for order in (1, 2):
+            assert primitive_echelon_rows(plain, cyclotomic_ring(order)) == expect
         planar = primitive_echelon_rows([r + [0] * (3 * cols) for r in plain],
                                         cyclotomic_ring(ORDER))
         assert planar == [r + [0] * (3 * cols) for r in expect]
