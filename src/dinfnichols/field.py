@@ -39,6 +39,7 @@ import numbers
 import re
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
 DEFAULT_ORDER = 12
@@ -46,30 +47,41 @@ DEFAULT_ORDER = 12
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (constant term first) of the n-th cyclotomic polynomial."""
+    """Coefficients (constant term first) of the n-th cyclotomic polynomial.
+
+    Phi_n = prod_(d | n) (x^d - 1)^mu(n/d) (Moebius inversion of
+    x^n - 1 = prod_(d | n) Phi_d), where mu(n/d) = (-1)^k when n/d is a
+    product of k distinct primes and 0 otherwise: the factors with mu = 1
+    are multiplied, then each factor with mu = -1 is divided out exactly.
+    """
     if n < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, by exact division in Z[x].
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_divexact(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    factors = [(n // math.prod(s), len(s) % 2)
+               for k in range(len(primes) + 1) for s in combinations(primes, k)]
+    poly = [1]
+    for d, odd in factors:
+        if not odd:  # poly (x^d - 1)
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d, odd in factors:
+        if odd:
+            poly = _divide_binomial(poly, d)
+    return tuple(poly)
 
 
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[i + len(den) - 1], den[-1])
-        if r:
-            raise ArithmeticError(f"{den} does not divide {num} in Z[x]")
-        out[i] = q
-        for j, c in enumerate(den):
-            num[i + j] -= q * c
-    if any(num):
-        raise ArithmeticError(f"division by {den} leaves the remainder {num}")
-    return out
+def _divide_binomial(poly: list[int], d: int) -> list[int]:
+    """poly / (x^d - 1) in Z[x]; ArithmeticError unless the division is exact.
+
+    poly = q (x^d - 1) reads poly[i] = q[i - d] - q[i] coefficient by
+    coefficient, so q[i] = q[i - d] - poly[i] from the bottom up, and the
+    top d coefficients of poly must be the top d of q shifted by d.
+    """
+    q = [-c for c in poly[:len(poly) - d]]
+    for i in range(d, len(q)):
+        q[i] += q[i - d]
+    if poly[len(q):] != ([0] * d + q)[len(q):]:
+        raise ArithmeticError(f"x^{d} - 1 does not divide {poly} in Z[x]")
+    return q
 
 
 # -- integer rings ----------------------------------------------------------
@@ -162,8 +174,14 @@ def conjugate_product(order: int, nums) -> list[int]:
     elimination (``linalg.primitive_echelon_rows``) multiplies a pivot row
     by it to make the pivot a rational integer.
     """
+    return _galois_product(order, nums, order)
+
+
+def _galois_product(order: int, nums, stop: int) -> list[int]:
+    """The product of sigma_k(x) over 1 < k < stop, gcd(k, N) = 1 (1 when
+    there is no such k)."""
     conj = None
-    for k in range(2, order):
+    for k in range(2, stop):
         if math.gcd(k, order) == 1:
             sigma = _galois(order, nums, k)
             conj = sigma if conj is None else mul_nums(order, conj, sigma)
@@ -178,17 +196,21 @@ def _real_subfield(order: int):
     With C_0 = 2, C_1 = w and C_(k+1) = w C_k - C_(k-1), x^k + x^-k = C_k(w)
     for x = z.  Phi_N is palindromic of degree 2m, so x^-m Phi_N(x) =
     a_m + sum_(k=1..m) a_(m+k) C_k(w) is the monic minimal polynomial of w,
-    which gives ``wrap``.  sigma_k (1 < k < N/2, gcd(k, N) = 1; sigma_-k
-    agrees with sigma_k on Z[w]) sends w to C_k(w), which gives ``conj``.
-    z^2 = w z - 1, so Z[z] = Z[w] + z Z[w]; rows[t] = (A_t, B_t) with
-    z^t = A_t + z B_t, by A_(t+1) = -B_t and B_(t+1) = A_t + w B_t.
+    which gives ``wrap``.  z^2 = w z - 1, so Z[z] = Z[w] + z Z[w];
+    rows[t] = (A_t, B_t) with z^t = A_t + z B_t, by A_(t+1) = -B_t and
+    B_(t+1) = A_t + w B_t.
+
+    ``conj`` uses the Galois action of Z[z]: x = sum_t c_t w^t is lifted to
+    Z[z] by the binomial expansion of w^t = (z + z^-1)^t, and the product
+    of sigma_k(x) over 1 < k < N/2, gcd(k, N) = 1 (sigma_-k agrees with
+    sigma_k on Z[w]) is real, so real_parts reads it back over Z[w].
     """
     if order < 3:
         raise ValueError(f"Q(zeta_{order}) is its own real subfield")
     phi = cyclotomic_polynomial(order)
     m = (len(phi) - 1) // 2
     cheb = [[2], [0, 1]]
-    for _ in range(max(m, order // 2) - 1):
+    for _ in range(m - 1):
         cheb.append([a - b for a, b in zip([0] + cheb[-1], cheb[-2] + [0, 0])])
     minpoly = [phi[m]] + [0] * m
     for k in range(1, m + 1):
@@ -196,21 +218,17 @@ def _real_subfield(order: int):
             minpoly[j] += phi[m + k] * c
     wrap = tuple((j, -c) for j, c in enumerate(minpoly[:m]) if c)
     one = [1] + [0] * (m - 1)
-    images = []
-    for k in range(2, order // 2 + 1):
-        if math.gcd(k, order) == 1:
-            w_k = _ring_reduce(m, wrap, list(cheb[k]))
-            powers = [one]
-            for _ in range(m - 1):
-                powers.append(_ring_mul(m, wrap, powers[-1], w_k))
-            images.append(powers)
+    degree, zwrap, _ = cyclotomic_ring(order)
+    lift = []
+    for t in range(m):
+        poly = [0] * order
+        for j in range(t + 1):
+            poly[(t - 2 * j) % order] += math.comb(t, j)
+        lift.append(_ring_reduce(degree, zwrap, poly))
 
     def conj(x):
-        out = one
-        for powers in images:
-            sigma = [sum(c * p[t] for c, p in zip(x, powers)) for t in range(m)]
-            out = _ring_mul(m, wrap, out, sigma)
-        return out
+        nums = [sum(c * p[i] for c, p in zip(x, lift) if c) for i in range(degree)]
+        return real_parts(order, _galois_product(order, nums, (order + 1) // 2))[0]
 
     rows = [(one, [0] * m)]
     for _ in range(len(phi) - 2):
@@ -544,6 +562,8 @@ def parse_scalar(text: str, order: int = DEFAULT_ORDER) -> Scalar:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar string")
+    # where[i]: the index in text of s[i]; len(text) past the end
+    where = [i for i, ch in enumerate(text) if ch != " "] + [len(text)]
     coeffs = [0] * order
     pos = 0
     first = True
@@ -554,14 +574,14 @@ def parse_scalar(text: str, order: int = DEFAULT_ORDER) -> Scalar:
                 sign = -1
             pos += 1
         elif not first:
-            raise ValueError(f"expected + or - at {pos} in {text!r}")
+            raise ValueError(f"expected + or - at {where[pos]} in {text!r}")
         m = _TERM_RE.match(s, pos)
         if not m or m.end() == pos or (m.group("coeff") is None and m.group("z") is None):
-            raise ValueError(f"cannot parse scalar term at {pos} in {text!r}")
+            raise ValueError(f"cannot parse scalar term at {where[pos]} in {text!r}")
         try:
             coeff = Fraction(m.group("coeff")) if m.group("coeff") else 1
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator at {pos} in {text!r}") from None
+            raise ValueError(f"zero denominator at {where[pos]} in {text!r}") from None
         if m.group("z"):
             exp = int(m.group("exp")) if m.group("exp") else 1
             exp %= order

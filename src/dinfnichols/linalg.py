@@ -2,25 +2,25 @@
 
 Matrices are lists of lists (rows) of Scalar, all of one cyclotomic order.
 Sizes here are small (the Nichols layer hands over one letter-content
-block at a time), so everything is dense.  Row basis, rank and kernel of
-a Scalar matrix go through one Gauss-Jordan elimination over Q(zeta_N)
-(_row_reduce).
+block at a time), so everything is dense.
 
-A matrix over a number field, its rows cleared of denominators, can also
-go through primitive_echelon_rows: the same elimination run fraction-free
-on integer rows over an integer ring of the field, one loop for every
-ring.  The ring comes as data (field.Ring): its degree (the number of
-coefficient planes of a row), ``wrap`` (its generator g to the power of the
-degree, in lower powers) and ``conj`` (the product of the other Galois
-conjugates of an element).  Z (field.INTEGERS, a plain integer row),
-Z[zeta_N] (field.cyclotomic_ring, the ring of Scalar arithmetic) and the
-real Z[zeta_N + zeta_N^-1] (field.real_ring) all fit; a ring of degree 1,
-such as Z[zeta_2] = Z, takes plain integer rows whatever its wrap.
-Pivots are made rational integers by conj, so a row update is an integer
-combination of whole integer lists.  The Nichols layer eliminates every
-block this way, forward only when it needs just the rank.  The tests check
-it against echelon_rows, which stays the reference, as do exact_rank and
-nullspace for the representation layer.
+Every exact elimination is one loop, primitive_echelon_rows: elimination
+run fraction-free on integer rows over an integer ring.  The ring comes as
+data (field.Ring): its degree (the number of coefficient planes of a row),
+``wrap`` (its generator g to the power of the degree, in lower powers) and
+``conj`` (the product of the other Galois conjugates of an element).  Z
+(field.INTEGERS, a plain integer row), Z[zeta_N] (field.cyclotomic_ring,
+the ring of Scalar arithmetic) and the real Z[zeta_N + zeta_N^-1]
+(field.real_ring) all fit; a ring of degree 1, such as Z[zeta_2] = Z,
+takes plain integer rows whatever its wrap.  Pivots are made rational
+integers by conj, so a row update is an integer combination of whole
+integer lists.  The Nichols layer eliminates every block this way, forward
+only when it needs just the rank.  exact_rank and nullspace, the entry
+points of the representation layer, clear each row of a Scalar matrix of
+its denominators and eliminate it over Z[zeta_N], or over Z when every
+entry is rational.  The tests check all of them against a Gauss-Jordan
+elimination over Q(zeta_N) on Scalars, which lives with the tests as the
+reference.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from .field import INTEGERS, Ring, Scalar
+from .field import INTEGERS, Ring, Scalar, _canonical, cyclotomic_ring
 
 
 def zeros(rows: int, cols: int, order: int) -> list[list[Scalar]]:
@@ -65,64 +65,56 @@ def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def _row_reduce(a):
-    """Reduced row echelon form by Gauss-Jordan elimination.
-
-    Returns (rows, pivots): rows[r] for r < len(pivots) has a 1 in column
-    pivots[r] and 0 in every other pivot column; the remaining rows are
-    zero.  One field inversion per pivot; a row update touches only the
-    columns where the pivot row is nonzero.
-    """
-    rows = [list(r) for r in a]
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(rows)) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        inv = rows[top][col].inverse()
-        prow = rows[top] = [inv * c for c in rows[top]]
-        support = [(j, p) for j, p in enumerate(prow) if not p.is_zero()]
-        for r, row in enumerate(rows):
-            f = row[col]
-            if r != top and not f.is_zero():
-                for j, p in support:
-                    row[j] = row[j] - f * p
-        pivots.append(col)
-    return rows, pivots
-
-
-def echelon_rows(a):
-    """The nonzero rows of the reduced row echelon form of a.
-
-    They are a basis of the row space of a over Q(zeta_N).
-    """
-    rows, pivots = _row_reduce(a)
-    return rows[:len(pivots)]
+def _ring_rows(a):
+    """(ring, rows): each row of a Scalar matrix times the lcm of its
+    denominators, as one flat int list of phi(N) planes over
+    Z[zeta_N] = cyclotomic_ring(N) (plane t: the z^t coefficients), or
+    as plain integer rows over Z when every entry is rational."""
+    rational = all(c.is_rational() for row in a for c in row)
+    ring = INTEGERS if rational else cyclotomic_ring(a[0][0].order)
+    rows = []
+    for row in a:
+        scale = math.lcm(*(c.den for c in row))
+        mult = [scale // c.den for c in row]
+        rows.append([c.nums[t] * s for t in range(ring.degree) for c, s in zip(row, mult)])
+    return ring, rows
 
 
 def exact_rank(a) -> int:
-    """Exact rank over Q(zeta_N)."""
-    return len(echelon_rows(a))
+    """Exact rank over Q(zeta_N): the number of rows left by forward
+    elimination (primitive_echelon_rows) of the rows of _ring_rows."""
+    if not a or not a[0]:
+        return 0
+    ring, rows = _ring_rows(a)
+    return len(primitive_echelon_rows(rows, ring, reduced=False))
 
 
 def nullspace(a):
-    """Basis of the right kernel, as coefficient vectors (lists of Scalar)."""
-    if not a:
+    """Basis of the right kernel, as coefficient vectors (lists of Scalar).
+
+    One vector per free column fc of the reduced echelon form of the rows
+    of _ring_rows: 1 at fc, -r[fc]/p at the pivot column of each reduced
+    row r, whose pivot is the positive integer p, and 0 elsewhere; the
+    same vectors as Gauss-Jordan elimination over Q(zeta_N) gives.
+    """
+    if not a or not a[0]:
         return []
-    order = a[0][0].order
-    rows, pivots = _row_reduce(a)
-    ncols = len(rows[0])
+    order, width = a[0][0].order, len(a[0])
+    ring, rows = _ring_rows(a)
+    reduced = primitive_echelon_rows(rows, ring)
+    # the pivot of a reduced row is its first nonzero entry, a rational
+    # integer, so it is the first nonzero int of plane 0
+    pivots = [next(j for j, v in enumerate(r) if v) for r in reduced]
     zero, one = Scalar.zero(order), Scalar.one(order)
+    tail = [0] * (len(one.nums) - ring.degree)
     basis = []
-    for fc in range(ncols):
+    for fc in range(width):
         if fc in pivots:
             continue
-        vec = [zero] * ncols
+        vec = [zero] * width
         vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
+        for r, pc in zip(reduced, pivots):
+            vec[pc] = _canonical(order, [-v for v in r[fc::width]] + tail, r[pc])
         basis.append(vec)
     return basis
 

@@ -51,8 +51,9 @@ rational integer, so a row update is an integer combination of integer
 lists.  Every step scales a row by a nonzero rational, so each row stays a
 rational multiple of the row exact elimination over the ring's field would
 give, and the ranks (those over Q(zeta_N)) are exact.  The last degree is
-only counted: its blocks are eliminated forward only.
-linalg.echelon_rows on Scalar rows stays the oracle.
+only counted: its blocks are eliminated forward only.  The tests check
+the ranks against Gauss-Jordan elimination on Scalar rows, which they keep
+as the reference.
 
 Infinite-dimensional modules and braidings that are not diagonal are
 rejected.  Operations refuse degrees past DEGREE_CAP instead of switching to

@@ -5,7 +5,9 @@ and h^2 = lambda h - 1, so every word in g, h, h^-1 collapses into the
 ordered basis (1, g, h, gh).  This module implements that arithmetic, the
 idempotent pair e1/e2, the nilpotent lines of the corners, the simple-module
 candidates for each lambda, and exact checkers for the dihedral module
-axioms, irreducibility (Burnside span) and isomorphism of small modules.
+axioms, irreducibility (Burnside span) and isomorphism of small modules;
+the last two rank and solve through linalg.exact_rank and linalg.nullspace,
+which eliminate on integer rows like the Nichols layer.
 
 Two finite checks prove the arithmetic for all inputs: ``structure_check``
 (unit, the 32 generator triples associate, the defining relations) makes
@@ -562,7 +564,8 @@ def is_irreducible(rep: FinRep) -> bool:
     For dim 2, the rep is irreducible iff words of length <= 3 in the two
     generator images span the full 4-dimensional matrix space (the span
     filtration of an algebra with 1 stabilizes as soon as it stops growing,
-    so length 3 always decides for 2x2).
+    so length 3 always decides for 2x2).  The span's dimension is the exact
+    rank of the flattened words (linalg.exact_rank, on integer rows).
     """
     if not module_axiom_check(rep):
         raise ValueError("is_irreducible requires an axiom-passing rep")
@@ -581,10 +584,11 @@ def is_irreducible(rep: FinRep) -> bool:
 def rep_iso_check(r1: FinRep, r2: FinRep) -> bool:
     """Whether an invertible intertwiner T with T G1 = G2 T, T H1 = H2 T exists.
 
-    Solves the linear system exactly; for dim 2 an invertible element exists
-    in the solution space iff det is not identically zero on it, which is
-    decided by evaluating det on the basis vectors and their pairwise sums
-    (det is a quadratic form in the coordinates).
+    Solves the linear system exactly (linalg.nullspace, on integer rows);
+    for dim 2 an invertible element exists in the solution space iff det is
+    not identically zero on it, which is decided by evaluating det on the
+    basis vectors and their pairwise sums (det is a quadratic form in the
+    coordinates).
     """
     for r in (r1, r2):
         if not module_axiom_check(r):

@@ -20,7 +20,7 @@ from dinfnichols.classify import (
     theorem_table,
 )
 from dinfnichols.field import Scalar
-from dinfnichols.linalg import exact_rank, numeric_rank
+from dinfnichols.linalg import numeric_rank
 from dinfnichols.nichols import GrowthFit, HilbertPrefix, growth_fit, quantum_symmetrizer
 from dinfnichols.repn import (
     corner_power_identity,
@@ -41,6 +41,7 @@ from dinfnichols.ydmod import (
     braid_equation_check,
     diagonal_type,
 )
+from reference import exact_rank
 
 ORDER = 12
 

@@ -130,6 +130,17 @@ def test_string_roundtrip():
             parse_scalar(bad)
 
 
+def test_parse_errors_point_into_the_given_text():
+    # positions count the spaces the parser skips
+    for text, message in (("z + q", "cannot parse scalar term at 4"),
+                          (" z +", "cannot parse scalar term at 4"),
+                          ("z  z^2", "expected \\+ or - at 3"),
+                          ("z + 3/0", "zero denominator at 4"),
+                          ("1 / 0", "zero denominator at 0")):
+        with pytest.raises(ValueError, match=message):
+            parse_scalar(text)
+
+
 def test_parse_refuses_a_space_between_digits():
     # spaces are dropped before parsing, so "1 2" would read as 12
     for bad in ("1 2", "z^1 2", "1/2 3", "-1  2z"):
@@ -429,7 +440,7 @@ def test_inverse_checks_the_norm(monkeypatch):
     assert x.inverse() == expect
 
 
-@pytest.mark.parametrize("order", (3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 24))
+@pytest.mark.parametrize("order", (3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 24, 60, 210, 600))
 def test_real_ring_is_the_real_subfield(order):
     # w = z + z^-1 satisfies w^m = sum c w^j over wrap, m = phi(N)/2; its
     # conjugate product times x is a nonzero rational; real_parts(x) = (x0, x1)
@@ -438,17 +449,21 @@ def test_real_ring_is_the_real_subfield(order):
     ring = real_ring(order)
     assert ring.degree == phi // 2 and (ring == INTEGERS) == (phi == 2)
     z = Scalar.zeta(order)
-    w = z + z.inverse()
+    powers = [Scalar.one(order)]  # w^t for t <= m, w = z + z^-1
+    for _ in range(ring.degree):
+        powers.append(powers[-1] * (z + Scalar.zeta(order, -1)))
 
     def over_w(coeffs):
-        return sum((c * w ** t for t, c in enumerate(coeffs)), Scalar.zero(order))
+        return sum((c * p for c, p in zip(coeffs, powers) if c), Scalar.zero(order))
 
     if ring != INTEGERS:
-        assert w ** ring.degree == sum((c * w ** j for j, c in ring.wrap), Scalar.zero(order))
+        assert powers[-1] == over_w(dict(ring.wrap).get(j, 0) for j in range(ring.degree))
     rng = random.Random(order)
-    for _ in range(10):
+    # one conjugate product at N = 600 (phi = 160) already takes most of a second
+    norms = 10 if phi < 100 else 1
+    for trial in range(10):
         x = [rng.randint(-4, 4) for _ in range(ring.degree)]
-        if any(x) and ring.conj is not None:
+        if any(x) and ring.conj is not None and trial < norms:
             norm = over_w(x) * over_w(ring.conj(x))
             assert norm.is_rational() and norm != 0
         nums = [rng.randint(-4, 4) for _ in range(phi)]
@@ -468,10 +483,28 @@ def test_conjugate_is_complex_conjugation():
 
 
 def test_exact_division_raises_under_optimize():
-    # the checks of the exact polynomial division are exceptions, not
+    # the checks of the exact division by x^d - 1 are exceptions, not
     # assert statements, so python -O keeps them
-    assert field._poly_divexact([-1, 0, 1], [-1, 1]) == [1, 1]
+    assert field._divide_binomial([-1, 0, 1], 1) == [1, 1]
+    assert field._divide_binomial([-1, 0, 0, 0, 0, 0, 1], 3) == [1, 0, 0, 1]
     with pytest.raises(ArithmeticError):
-        field._poly_divexact([1, 0, 1], [-1, 1])
+        field._divide_binomial([1, 0, 1], 1)
     with pytest.raises(ArithmeticError):
-        field._poly_divexact([1, 1], [0, 2])
+        field._divide_binomial([-1, 1, 1], 2)
+    with pytest.raises(ArithmeticError):
+        field._divide_binomial([1, 1], 2)
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # prod_(d | n) Phi_d = x^n - 1, by plain polynomial products
+    for n in range(1, 201):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1], n

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 from dinfnichols.field import INTEGERS, Scalar, cyclotomic_ring, real_parts, real_ring
-from dinfnichols.linalg import echelon_rows, exact_rank, numeric_rank, primitive_echelon_rows
+from dinfnichols.linalg import exact_rank, numeric_rank, nullspace, primitive_echelon_rows
+from reference import echelon_rows
+from reference import exact_rank as reference_rank
+from reference import nullspace as reference_nullspace
 
 ORDER = 12
 
@@ -194,7 +197,7 @@ def test_cyclotomic_echelon_rows_match_scalar_elimination():
                 a[r] = [f * c for c in a[s]]
                 a[rng.randrange(rows)] = [zero] * cols
             rank = check_cyclotomic_echelon(a, order)
-            assert rank == exact_rank(a)
+            assert rank == reference_rank(a)
             deficient_seen += rank < min(rows, cols)
         assert deficient_seen >= 10
         # one row and z^3 times it: rank 1
@@ -306,3 +309,51 @@ def test_forward_elimination_is_an_echelon_basis_of_the_same_span():
         assert leads == sorted(set(leads))
         assert echelon_rows([ring_scalars(row, ring, order, width) for row in forward]) == expect
     assert deficient_seen >= 15
+
+
+# -- exact_rank and nullspace on the integer kernel ---------------------------
+
+def kernel_cases(rng, order):
+    """Scalar matrices over Q(zeta_N): rational-only and cyclotomic entries,
+    1 x k and k x 1 shapes, zero rows and rows that are multiples of others."""
+    zero = Scalar.zero(order)
+    for case in range(40):
+        shape = case % 4
+        rows = 1 if shape == 0 else rng.randint(1, 8)
+        cols = 1 if shape == 1 else rng.randint(1, 8)
+        if case % 3 == 0:
+            entry = lambda: Scalar.from_rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), order)
+        else:
+            entry = lambda: random_cyclotomic(rng, order)
+        a = [[entry() if rng.random() < 0.5 else zero for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and case % 2:
+            r, s = rng.sample(range(rows), 2)
+            f = random_cyclotomic(rng, order)
+            a[r] = [f * c for c in a[s]]
+            a[rng.randrange(rows)] = [zero] * cols
+        yield a
+
+
+def test_kernel_rank_and_nullspace_match_the_reference():
+    # the integer kernel behind exact_rank and nullspace against Gauss-Jordan
+    # over Q(zeta_N) on Scalars: equal ranks, the very same kernel vectors,
+    # and each of them annihilates every row exactly
+    rng = random.Random(20261021)
+    for order in (1, 2, 3, 5, 8, 12):
+        deficient_seen = 0
+        for a in kernel_cases(rng, order):
+            rank = exact_rank(a)
+            assert rank == reference_rank(a)
+            kernel = nullspace(a)
+            assert kernel == reference_nullspace(a)
+            assert rank + len(kernel) == len(a[0])
+            for vec in kernel:
+                for row in a:
+                    assert sum((x * v for x, v in zip(row, vec)), Scalar.zero(order)) == 0
+            deficient_seen += rank < min(len(a), len(a[0]))
+        assert deficient_seen >= 5
+        zero = Scalar.zero(order)
+        assert exact_rank([[zero] * 3] * 2) == 0
+        assert nullspace([[zero] * 3] * 2) == reference_nullspace([[zero] * 3] * 2)
+    assert exact_rank([]) == 0 == reference_rank([])
+    assert nullspace([]) == [] == reference_nullspace([])

@@ -12,7 +12,7 @@ import pytest
 from dinfnichols import linalg, nichols
 from dinfnichols.classify import default_grid, enumerate_families
 from dinfnichols.field import INTEGERS, Scalar, cyclotomic_ring, real_ring
-from dinfnichols.linalg import exact_rank, identity, mat_eq, numeric_rank, zeros
+from dinfnichols.linalg import identity, mat_eq, numeric_rank, zeros
 from dinfnichols.nichols import (
     DEGREE_CAP,
     GrowthFit,
@@ -34,6 +34,7 @@ from dinfnichols.ydmod import (
     YDModule,
     braid_word_at,
 )
+from reference import exact_rank
 
 ORDER = 12
 
@@ -350,8 +351,8 @@ def test_graded_dims_three_letters():
 
 def test_rational_braidings_skip_scalar_elimination(monkeypatch):
     # every braiding runs the recursion on integer rows, over Z when every
-    # q_ij is rational and over Z[zeta_N] otherwise; neither calls the
-    # Scalar elimination, which stays the oracle
+    # q_ij is rational and over Z[zeta_N] otherwise; neither goes through
+    # the Scalar-matrix entry points exact_rank and nullspace
     dims = {HClassModule(1, rat(2)): [1, 2, 4, 8, 14, 24, 40],
             UNMIRRORED_Q: [1, 2, 3, 5, 8, 13, 21],
             one_class_module("s0+", rat(0)): [1, 2, 3, 4, 5, 6, 7],
@@ -361,9 +362,10 @@ def test_rational_braidings_skip_scalar_elimination(monkeypatch):
             GENERIC_Q: [1, 2, 4, 8, 16, 32, 64]}
 
     def refuse(a):
-        raise AssertionError("Scalar elimination in graded_dims")
+        raise AssertionError("Scalar matrix elimination in graded_dims")
 
-    monkeypatch.setattr(linalg, "echelon_rows", refuse)
+    monkeypatch.setattr(linalg, "exact_rank", refuse)
+    monkeypatch.setattr(linalg, "nullspace", refuse)
     for m, expect in dims.items():
         assert list(graded_dims(m, 6)) == expect, m
 

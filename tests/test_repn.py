@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dinfnichols import repn
+from dinfnichols import linalg, repn
 from dinfnichols.field import Scalar
 from dinfnichols.linalg import mat_mul
 from dinfnichols.repn import (
@@ -551,6 +551,26 @@ def test_rep_iso_check_examples():
     assert rep_iso_check(lam2[0].rep, lam2[1].rep) is False
     # dim mismatch is never isomorphic
     assert not rep_iso_check(r1, cands[0].rep)
+
+
+def test_rank_and_intertwiners_run_on_the_integer_kernel(monkeypatch):
+    # is_irreducible and rep_iso_check eliminate through linalg.exact_rank
+    # and linalg.nullspace, that is on integer rows: over Z for rational
+    # matrices and over Z[zeta_12] once an entry is irrational
+    kernel = linalg.primitive_echelon_rows
+    degrees = []
+
+    def record(rows, ring, reduced=True):
+        degrees.append(ring.degree)
+        return kernel(rows, ring, reduced)
+
+    monkeypatch.setattr(linalg, "primitive_echelon_rows", record)
+    base = simple_modules(rat(0))[0].rep
+    z = Scalar.zeta(ORDER)
+    twisted = _conjugate_rep(base, [[rat(1), z], [rat(0), rat(1)]])
+    assert is_irreducible(base) and is_irreducible(twisted)
+    assert rep_iso_check(base, twisted)
+    assert set(degrees) == {1, 4}
 
 
 def _conjugate_rep(rep, T):
