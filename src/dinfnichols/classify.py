@@ -103,13 +103,14 @@ class Verdict:
         return {"verdict": v, "rule": self.rule, "evidence": self.evidence}
 
 
-def enumerate_families(grid: ParamGrid,
-                       order: int = DEFAULT_ORDER) -> list[FamilyInstance]:
+def enumerate_families(grid: ParamGrid, order: int = DEFAULT_ORDER,
+                       simples=None) -> list[FamilyInstance]:
     """One instance per (conjugacy class, centralizer character) pair on the grid.
 
     One-class instances are built only from axiom-passing simple-module
     candidates; failing candidates are reported by the theorem table, not
-    silently turned into modules.
+    silently turned into modules.  ``simples`` holds ``simple_modules`` of
+    each lambda of the grid, in grid order; by default it is computed here.
     """
     out = []
     for n in grid.ns:
@@ -119,8 +120,10 @@ def enumerate_families(grid: ParamGrid,
     for family, module_class in REFLECTION_FAMILIES.items():
         for rep in (SIGN, EPS):
             out.append(FamilyInstance(module_class(rep, order), family, {"rep": rep}))
-    for lam in grid.lambdas:
-        for cand in simple_modules(lam):
+    if simples is None:
+        simples = [simple_modules(lam) for lam in grid.lambdas]
+    for lam, cands in zip(grid.lambdas, simples):
+        for cand in cands:
             if cand.axiom.ok:
                 out.append(FamilyInstance(
                     OneClassModule(cand.rep, cand.label), "one-class",
@@ -229,7 +232,9 @@ def theorem_table(grid: ParamGrid, order: int = DEFAULT_ORDER) -> dict:
     if not any(a != one and a != -one for a in grid.a_values):
         annotations.append("grid has no a with a^2 != 1; no infinite h-class witness")
 
-    instances = enumerate_families(grid, order)
+    # one candidate list per lambda feeds the families and both kinds of note
+    simples = [simple_modules(lam) for lam in grid.lambdas]
+    instances = enumerate_families(grid, order, simples)
     instances.sort(key=lambda i: (_FAMILY_ORDER[i.family],) + i.key())
     cache: dict = {}
     rows = []
@@ -254,14 +259,14 @@ def theorem_table(grid: ParamGrid, order: int = DEFAULT_ORDER) -> dict:
             infinite_names.append(name)
 
     # axiom failures on the lambda grid are reported, not dropped silently
-    for lam in grid.lambdas:
-        for cand in simple_modules(lam):
+    for lam, cands in zip(grid.lambdas, simples):
+        for cand in cands:
             if not cand.axiom.ok:
                 annotations.append(
                     f"lambda={lam}: candidate {cand.label} fails module axioms "
                     f"({cand.axiom.witness}); excluded from one-class families")
 
-    annotations.extend(_iso_annotations(grid))
+    annotations.extend(_iso_annotations(grid.lambdas, simples))
 
     entries = []
     for k in sorted(_ENTRY_LABELS):
@@ -290,19 +295,19 @@ def theorem_table(grid: ParamGrid, order: int = DEFAULT_ORDER) -> dict:
 _FAMILY_ORDER = {"h-class": 0, "g-class": 1, "gh-class": 2, "one-class": 3}
 
 
-def _iso_annotations(grid: ParamGrid) -> list[str]:
+def _iso_annotations(lambdas, simples) -> list[str]:
     out = []
-    zero_lams = [l for l in grid.lambdas if l.is_zero()]
-    if zero_lams:
-        cands = {c.label: c for c in simple_modules(zero_lams[0])}
+    zero = next((cands for lam, cands in zip(lambdas, simples) if lam.is_zero()), None)
+    if zero is not None:
+        cands = {c.label: c for c in zero}
         iso = rep_iso_check(cands["s0+"].rep, cands["s0-"].rep)
         out.append(f"s0+ isomorphic to s0-: {iso}"
                    + (" (entries 2 and 3 describe the same braided vector space)"
                       if iso else ""))
-    for lam in grid.lambdas:
+    for lam, simple in zip(lambdas, simples):
         if lam.is_zero():
             continue
-        cands = {c.label: c for c in simple_modules(lam) if c.axiom.ok}
+        cands = {c.label: c for c in simple if c.axiom.ok}
         if {"slam+", "slam-"} <= set(cands):
             iso = rep_iso_check(cands["slam+"].rep, cands["slam-"].rep)
             out.append(f"lambda={lam}: slam+ isomorphic to slam-: {iso}")

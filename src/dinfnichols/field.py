@@ -523,26 +523,25 @@ def _cached_const(order: int, value: int) -> Scalar:
 # -- string form ------------------------------------------------------------
 
 def format_scalar(x: Scalar) -> str:
-    """Serialize as e.g. "3/2", "-1", "z^2+1/3" (z = zeta_N)."""
-    terms = []
+    """Serialize as e.g. "3/2", "-1", "z^2+1/3" (z = zeta_N): each
+    coefficient nums[k]/den in lowest terms, highest power first."""
+    den = x.den
+    out = ""
     for k in range(len(x.nums) - 1, -1, -1):
-        if x.nums[k] == 0:
+        num = x.nums[k]
+        if not num:
             continue
-        c = Fraction(x.nums[k], x.den)
-        if k == 0:
-            body = str(abs(c))
-        else:
+        g = math.gcd(num, den)
+        p, q = abs(num) // g, den // g
+        body = str(p) if q == 1 else f"{p}/{q}"
+        if k:
             zpart = "z" if k == 1 else f"z^{k}"
-            body = zpart if abs(c) == 1 else f"{abs(c)}{zpart}"
-        sign = "-" if c < 0 else "+"
-        terms.append((sign, body))
-    if not terms:
-        return "0"
-    first_sign, first_body = terms[0]
-    out = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        out += sign + body
-    return out
+            body = zpart if body == "1" else body + zpart
+        if num < 0:
+            out += "-" + body
+        else:
+            out += "+" + body if out else body
+    return out or "0"
 
 
 _TERM_RE = re.compile(

@@ -5,9 +5,11 @@ and h^2 = lambda h - 1, so every word in g, h, h^-1 collapses into the
 ordered basis (1, g, h, gh).  This module implements that arithmetic, the
 idempotent pair e1/e2, the nilpotent lines of the corners, the simple-module
 candidates for each lambda, and exact checkers for the dihedral module
-axioms, irreducibility (Burnside span) and isomorphism of small modules;
-the last two rank and solve through linalg.exact_rank and linalg.nullspace,
-which eliminate on integer rows like the Nichols layer.
+axioms, irreducibility and isomorphism of small modules.  A rep decides
+its axioms once and keeps the verdict; irreducibility of a 2-dimensional
+rep is one determinant, det(GH - HG) (Shemesh), and isomorphism solves
+for intertwiners through linalg.nullspace, which eliminates on integer
+rows like the Nichols layer.
 
 Two finite checks prove the arithmetic for all inputs: ``structure_check``
 (unit, the 32 generator triples associate, the defining relations) makes
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -515,7 +517,11 @@ def corner_square_check(lam: Scalar, side: str) -> CheckResult:
 @dataclass(frozen=True)
 class FinRep:
     """Matrices of g and h for a 1- or 2-dim rep; once the module axioms
-    hold, h^-1 acts as G H G."""
+    hold, h^-1 acts as G H G.
+
+    ``axiom`` is the module-axiom verdict, computed on first use and kept
+    with the rep, so every check that needs it reads one computation.
+    """
 
     G: tuple
     H: tuple
@@ -533,6 +539,10 @@ class FinRep:
         """Build a rep candidate from row lists."""
         return cls(tuple(tuple(r) for r in G), tuple(tuple(r) for r in H))
 
+    @cached_property
+    def axiom(self) -> "CheckResult":
+        return _module_axioms(self)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -548,7 +558,12 @@ class CheckResult:
 
 
 def module_axiom_check(rep: FinRep) -> CheckResult:
-    """Verify g^2 = 1 and (g h)^2 = 1, i.e. g h g = h^-1, as exact matrices."""
+    """Verify g^2 = 1 and (g h)^2 = 1, i.e. g h g = h^-1, as exact matrices:
+    the verdict ``rep.axiom``, computed once per rep."""
+    return rep.axiom
+
+
+def _module_axioms(rep: FinRep) -> CheckResult:
     ident = linalg.identity(rep.dim, rep.order)
     if not linalg.mat_eq(linalg.mat_mul(rep.G, rep.G), ident):
         return CheckResult(False, "g^2 != 1")
@@ -559,26 +574,24 @@ def module_axiom_check(rep: FinRep) -> CheckResult:
 
 
 def is_irreducible(rep: FinRep) -> bool:
-    """Burnside span criterion: no eigenvalue computation needed.
+    """Whether an axiom-passing rep of dim <= 2 is irreducible over the
+    algebraic closure.
 
-    For dim 2, the rep is irreducible iff words of length <= 3 in the two
-    generator images span the full 4-dimensional matrix space (the span
-    filtration of an algebra with 1 stabilizes as soon as it stops growing,
-    so length 3 always decides for 2x2).  The span's dimension is the exact
-    rank of the flattened words (linalg.exact_rank, on integer rows).
+    Dim 1 always is.  A 2-dimensional rep is reducible iff G and H have a
+    common eigenvector, and two 2x2 matrices have one iff
+    det(GH - HG) = 0 (Shemesh, Linear Algebra Appl. 62, 1984): the
+    verdict of the Burnside span of the words in G and H, with no
+    elimination.  Dims > 2 raise ValueError, as in :func:`rep_iso_check`.
     """
-    if not module_axiom_check(rep):
+    if not rep.axiom:
         raise ValueError("is_irreducible requires an axiom-passing rep")
     if rep.dim == 1:
         return True
-    gens = [[list(r) for r in rep.G], [list(r) for r in rep.H]]
-    words = [linalg.identity(rep.dim, rep.order)]
-    layer = [linalg.identity(rep.dim, rep.order)]
-    for _ in range(3):
-        layer = [linalg.mat_mul(w, m) for w in layer for m in gens]
-        words.extend(layer)
-    flat = [[c for row in w for c in row] for w in words]
-    return linalg.exact_rank(flat) == rep.dim ** 2
+    if rep.dim > 2:
+        raise ValueError("is_irreducible handles dims <= 2 only")
+    gh, hg = linalg.mat_mul(rep.G, rep.H), linalg.mat_mul(rep.H, rep.G)
+    (a, b), (c, d) = ([x - y for x, y in zip(r, s)] for r, s in zip(gh, hg))
+    return not (a * d - b * c).is_zero()
 
 
 def rep_iso_check(r1: FinRep, r2: FinRep) -> bool:
@@ -591,7 +604,7 @@ def rep_iso_check(r1: FinRep, r2: FinRep) -> bool:
     coordinates).
     """
     for r in (r1, r2):
-        if not module_axiom_check(r):
+        if not r.axiom:
             raise ValueError("rep_iso_check requires axiom-passing reps")
         if r.dim > 2:
             raise ValueError("rep_iso_check handles dims <= 2 only")
@@ -630,16 +643,19 @@ def rep_iso_check(r1: FinRep, r2: FinRep) -> bool:
 
 @dataclass(frozen=True)
 class SimpleCandidate:
-    """One candidate simple module with its axiom verdict."""
+    """One candidate simple module; ``axiom`` is its rep's verdict."""
 
     label: str                 # "s0+", "s0-", "slam+", "slam-"
     lam: Scalar
     rep: FinRep
-    axiom: CheckResult
 
     @property
     def dim(self) -> int:
         return self.rep.dim
+
+    @property
+    def axiom(self) -> CheckResult:
+        return self.rep.axiom
 
 
 def _scalar_matrix(values, order):
@@ -648,7 +664,8 @@ def _scalar_matrix(values, order):
 
 
 def simple_modules(lam: Scalar) -> list[SimpleCandidate]:
-    """The candidate simple modules of A_lambda, axiom-checked.
+    """The candidate simple modules of A_lambda, each with its axiom
+    verdict (``cand.axiom``).
 
     lambda = 0: two 2-dimensional modules (the corners themselves), with
     g = diag(+-1, -+1) and h the rotation sending the first basis vector to
@@ -663,15 +680,13 @@ def simple_modules(lam: Scalar) -> list[SimpleCandidate]:
         for label, gsign in (("s0+", one), ("s0-", -one)):
             G = _scalar_matrix([[gsign, 0], [0, -gsign]], order)
             H = _scalar_matrix([[0, 1], [-1, 0]], order)
-            rep = FinRep.from_matrices(G, H)
-            out.append(SimpleCandidate(label, lam, rep, module_axiom_check(rep)))
+            out.append(SimpleCandidate(label, lam, FinRep(G, H)))
         return out
     half_lam = lam * Fraction(1, 2)
     for label, gval in (("slam+", one), ("slam-", -one)):
         G = _scalar_matrix([[gval]], order)
         H = _scalar_matrix([[half_lam]], order)
-        rep = FinRep.from_matrices(G, H)
-        out.append(SimpleCandidate(label, lam, rep, module_axiom_check(rep)))
+        out.append(SimpleCandidate(label, lam, FinRep(G, H)))
     return out
 
 

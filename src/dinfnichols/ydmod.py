@@ -304,7 +304,7 @@ class FiniteClassModule(YDModule):
 
     def _build_action(self, e: int, q: int) -> dict:
         """The terms of g^e h^(step q) on every basis vector: the columns
-        of the matrix product."""
+        of the product of its factors, the identity only for e = q = 0."""
         G, H = self.rep.G, self.rep.H
         mats = [H] * abs(q)
         if q < 0:
@@ -312,8 +312,8 @@ class FiniteClassModule(YDModule):
         if e:
             mats.append(G)
         basis = list(self._degrees)
-        product = identity(self.dim, self.order)
-        for mat in mats:
+        product = mats[0] if mats else identity(self.dim, self.order)
+        for mat in mats[1:]:
             product = mat_mul(mat, product)
         return {v: tuple(SignedVector(row[j], w) for row, w in zip(product, basis)
                          if not row[j].is_zero())

@@ -1,11 +1,18 @@
-"""The reference elimination: Gauss-Jordan over Q(zeta_N) on Scalars.
+"""Reference implementations the library's fast paths are checked against.
 
-The library eliminates on integer rows only (linalg.primitive_echelon_rows);
-this module keeps the textbook elimination in field arithmetic, one field
-inversion per pivot, as the independent check on it.  Its exact_rank and
-nullspace have the signatures of the library's.
+* The elimination: Gauss-Jordan over Q(zeta_N) on Scalars.  The library
+  eliminates on integer rows only (linalg.primitive_echelon_rows); this
+  module keeps the textbook elimination in field arithmetic, one field
+  inversion per pivot, as the independent check on it.  Its exact_rank and
+  nullspace have the signatures of the library's.
+* Irreducibility by the Burnside span, the test repn.is_irreducible's
+  commutator determinant replaces.
+* The string form of a Scalar written through Fraction.
 """
 
+from fractions import Fraction
+
+from dinfnichols import linalg
 from dinfnichols.field import Scalar
 
 
@@ -67,3 +74,43 @@ def nullspace(a):
             vec[pc] = -rows[r][fc]
         basis.append(vec)
     return basis
+
+
+def burnside_irreducible(rep) -> bool:
+    """Burnside span criterion for an axiom-passing rep of dim <= 2: the
+    words of length <= 3 in G and H span the whole matrix space (the span
+    filtration of an algebra with 1 stabilises as soon as it stops growing,
+    so length 3 decides for 2x2).  The span's dimension is the rank of the
+    flattened words in the reference elimination."""
+    if not rep.axiom:
+        raise ValueError("burnside_irreducible requires an axiom-passing rep")
+    if rep.dim == 1:
+        return True
+    gens = [[list(r) for r in rep.G], [list(r) for r in rep.H]]
+    words = layer = [linalg.identity(rep.dim, rep.order)]
+    for _ in range(3):
+        layer = [linalg.mat_mul(w, m) for w in layer for m in gens]
+        words = words + layer
+    flat = [[c for row in w for c in row] for w in words]
+    return exact_rank(flat) == rep.dim ** 2
+
+
+def format_scalar(x: Scalar) -> str:
+    """The string form of x with each coefficient a Fraction, highest power
+    of z first: "3/2", "-1", "z^2+1/3", "1/2z^3-z"."""
+    terms = []
+    for k in range(len(x.nums) - 1, -1, -1):
+        if x.nums[k] == 0:
+            continue
+        c = Fraction(x.nums[k], x.den)
+        if k == 0:
+            body = str(abs(c))
+        else:
+            zpart = "z" if k == 1 else f"z^{k}"
+            body = zpart if abs(c) == 1 else f"{abs(c)}{zpart}"
+        terms.append(("-" if c < 0 else "+", body))
+    if not terms:
+        return "0"
+    first_sign, first_body = terms[0]
+    out = (first_sign if first_sign == "-" else "") + first_body
+    return out + "".join(sign + body for sign, body in terms[1:])

@@ -1,7 +1,10 @@
+import importlib
 import json
 
 import jsonschema
 import pytest
+
+from dinfnichols import cli
 
 from dinfnichols.classify import (
     EvidenceError,
@@ -231,3 +234,45 @@ def test_corrupted_finite_family_is_caught(corrupt, pair, a_str):
     inst = FamilyInstance(m, "h-class", {"n": 1, "a": a_str})
     with pytest.raises(EvidenceError, match="is not the closed form"):
         classify(inst)
+
+
+def _count_calls(monkeypatch):
+    # calls per key, counted at every site that looks the function up
+    modules = {n: importlib.import_module(f"dinfnichols.{n}")
+               for n in ("classify", "verify", "repn", "linalg", "ydmod")}
+    sites = {"simple_modules": [("classify", "simple_modules"), ("verify", "simple_modules")],
+             "axioms": [("repn", "_module_axioms")],
+             "repn mat_mul": [("linalg", "mat_mul")],
+             "ydmod mat_mul": [("ydmod", "mat_mul")],
+             "exact_rank": [("linalg", "exact_rank")]}
+    counts = dict.fromkeys(sites, 0)
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for key, places in sites.items():
+        for module, name in places:
+            monkeypatch.setattr(modules[module], name,
+                                counted(key, getattr(modules[module], name)))
+    return counts
+
+
+def test_one_report_decides_each_candidate_once(monkeypatch, capsys):
+    # one candidate list per lambda, one axiom verdict per rep, no product
+    # with the identity; the same counts on a second call, so nothing
+    # computed in one call serves the next
+    counts = _count_calls(monkeypatch)
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        theorem_table(default_grid())
+        assert counts == {"simple_modules": 4, "axioms": 8, "repn mat_mul": 24,
+                          "ydmod mat_mul": 18, "exact_rank": 0}
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        assert cli.main(["verify", "--suite", "alambda"]) == 0
+        assert counts == {"simple_modules": 4, "axioms": 8, "repn mat_mul": 28,
+                          "ydmod mat_mul": 0, "exact_rank": 0}
+    capsys.readouterr()

@@ -19,6 +19,7 @@ from dinfnichols.field import (
     real_ring,
     root_of_unity_order,
 )
+from reference import format_scalar as reference_format
 
 
 def rat(q, order=12):
@@ -128,6 +129,27 @@ def test_string_roundtrip():
     for bad in ("--1", "z--2", "+-3", "*z", "1+*z"):
         with pytest.raises(ValueError, match="cannot parse"):
             parse_scalar(bad)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 12])
+def test_format_matches_the_fraction_formatter(order):
+    # zero, +-1 coefficients, negative leading terms and 1/2 z^k among
+    # seeded scalars; each string parses back to its scalar
+    rng = random.Random(order)
+    half = Fraction(1, 2)
+    samples = [Scalar.zero(order), Scalar.one(order), -Scalar.one(order)]
+    samples += [Scalar.zeta(order, k) * c for k in range(order) for c in (1, -1, half, -half)]
+    for _ in range(60):
+        coeffs = [rng.choice((0, 0, 1, -1, half, -half,
+                              Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+                  for _ in range(order)]
+        samples.append(Scalar(order, coeffs))
+    for x in samples:
+        text = str(x)
+        assert text == reference_format(x), x.nums
+        assert parse_scalar(text, order) == x
+    assert str(Scalar.zeta(12, 3) * half) == "1/2z^3"
+    assert str(Scalar.zeta(12, 3) * -half - Scalar.zeta(12)) == "-1/2z^3-z"
 
 
 def test_parse_errors_point_into_the_given_text():

@@ -28,6 +28,7 @@ from dinfnichols.repn import (
     structure_check,
     table_specialises,
 )
+from reference import burnside_irreducible
 
 ORDER = 12
 LAM = LambdaPoly.indeterminate(ORDER)
@@ -553,10 +554,7 @@ def test_rep_iso_check_examples():
     assert not rep_iso_check(r1, cands[0].rep)
 
 
-def test_rank_and_intertwiners_run_on_the_integer_kernel(monkeypatch):
-    # is_irreducible and rep_iso_check eliminate through linalg.exact_rank
-    # and linalg.nullspace, that is on integer rows: over Z for rational
-    # matrices and over Z[zeta_12] once an entry is irrational
+def _record_kernel_degrees(monkeypatch):
     kernel = linalg.primitive_echelon_rows
     degrees = []
 
@@ -565,12 +563,30 @@ def test_rank_and_intertwiners_run_on_the_integer_kernel(monkeypatch):
         return kernel(rows, ring, reduced)
 
     monkeypatch.setattr(linalg, "primitive_echelon_rows", record)
+    return degrees
+
+
+def test_is_irreducible_makes_no_kernel_call(monkeypatch):
+    # one 2x2 determinant decides it: no rank, no elimination
+    degrees = _record_kernel_degrees(monkeypatch)
     base = simple_modules(rat(0))[0].rep
-    z = Scalar.zeta(ORDER)
-    twisted = _conjugate_rep(base, [[rat(1), z], [rat(0), rat(1)]])
+    twisted = _conjugate_rep(base, [[rat(1), Scalar.zeta(ORDER)], [rat(0), rat(1)]])
     assert is_irreducible(base) and is_irreducible(twisted)
-    assert rep_iso_check(base, twisted)
-    assert set(degrees) == {1, 4}
+    assert degrees == []
+
+
+def test_intertwiners_run_on_the_integer_kernel(monkeypatch):
+    # rep_iso_check solves through linalg.nullspace, that is on integer
+    # rows: over Z for rational matrices and over Z[zeta_12] once an entry
+    # is irrational
+    degrees = _record_kernel_degrees(monkeypatch)
+    s0p, s0m = (c.rep for c in simple_modules(rat(0)))
+    assert rep_iso_check(s0p, s0m)
+    assert set(degrees) == {1}
+    degrees.clear()
+    twisted = _conjugate_rep(s0p, [[rat(1), Scalar.zeta(ORDER)], [rat(0), rat(1)]])
+    assert rep_iso_check(s0p, twisted)
+    assert set(degrees) == {4}
 
 
 def _conjugate_rep(rep, T):
@@ -583,15 +599,70 @@ def _conjugate_rep(rep, T):
     return FinRep.from_matrices(G, H)
 
 
+def _invertible(rng, entry):
+    while True:
+        T = [[entry() for _ in range(2)] for _ in range(2)]
+        if not (T[0][0] * T[1][1] - T[0][1] * T[1][0]).is_zero():
+            return T
+
+
 def test_stability_under_conjugation():
     rng = random.Random(5)
     base = simple_modules(rat(0))[0].rep
     for _ in range(5):
-        while True:
-            T = [[rat(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
-            if not (T[0][0] * T[1][1] - T[0][1] * T[1][0]).is_zero():
-                break
-        conj = _conjugate_rep(base, T)
+        conj = _conjugate_rep(base, _invertible(rng, lambda: rat(rng.randint(-3, 3))))
         assert module_axiom_check(conj).ok
         assert is_irreducible(conj)
         assert rep_iso_check(base, conj)
+
+
+def test_commutator_criterion_matches_the_burnside_span():
+    rng = random.Random(11)
+    one, zero = Scalar.one(ORDER), Scalar.zero(ORDER)
+    reps = [c.rep for lam in (0, 2, -2) for c in simple_modules(rat(lam)) if c.axiom.ok]
+    assert len(reps) == 6
+    # seeded conjugates T s0 T^-1 over Q and over Q(zeta_12)
+    s0 = reps[0]
+    for entry in (lambda: rat(rng.randint(-3, 3)),
+                  lambda: Scalar(ORDER, [rng.randint(-2, 2) for _ in range(4)])):
+        for _ in range(4):
+            reps.append(_conjugate_rep(s0, _invertible(rng, entry)))
+    # the commuting diagonal pair, and G = diag(1, -1), H = [[1, 1], [0, 1]]:
+    # [G, H] = [[0, 2], [0, 0]] has rank 1, and e1 is a common eigenvector
+    diag = FinRep.from_matrices([[one, zero], [zero, one]], [[one, zero], [zero, -one]])
+    shear = FinRep.from_matrices([[one, zero], [zero, -one]], [[one, one], [zero, one]])
+    reps += [diag, shear]
+    gh, hg = mat_mul(shear.G, shear.H), mat_mul(shear.H, shear.G)
+    commutator = [[x - y for x, y in zip(r, t)] for r, t in zip(gh, hg)]
+    assert linalg.exact_rank(commutator) == 1
+    verdicts = []
+    for rep in reps:
+        assert rep.axiom.ok
+        verdicts.append(is_irreducible(rep))
+        assert verdicts[-1] == burnside_irreducible(rep)
+    assert verdicts == [True] * 14 + [False, False]
+
+
+def test_is_irreducible_refuses_dim_three():
+    one, zero = Scalar.one(ORDER), Scalar.zero(ORDER)
+    ident = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    rep = FinRep.from_matrices(ident, ident)
+    assert rep.axiom.ok
+    with pytest.raises(ValueError, match="dims <= 2"):
+        is_irreducible(rep)
+
+
+def test_the_axiom_verdict_is_computed_once_per_rep(monkeypatch):
+    calls = []
+    compute = repn._module_axioms
+    monkeypatch.setattr(repn, "_module_axioms", lambda rep: calls.append(rep) or compute(rep))
+    cands = simple_modules(rat(0))
+    for c in cands:
+        assert c.axiom.ok and module_axiom_check(c.rep) is c.axiom
+        assert is_irreducible(c.rep)
+    assert rep_iso_check(cands[0].rep, cands[1].rep)
+    assert calls == [c.rep for c in cands]
+    # the verdict is kept on the object, not keyed by its matrices
+    again = FinRep(cands[0].rep.G, cands[0].rep.H)
+    assert again == cands[0].rep and module_axiom_check(again).ok
+    assert len(calls) == 3
