@@ -22,14 +22,12 @@ from .repn import (
     CheckResult,
     CornerData,
     FinRep,
-    SimpleCandidate,
     alambda_multiply,
     corner_data,
     corner_power_identity,
     corner_square_check,
     idempotent_pair,
     is_irreducible,
-    module_axiom_check,
     rep_iso_check,
     simple_modules,
     structure_check,

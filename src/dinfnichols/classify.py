@@ -110,7 +110,8 @@ def enumerate_families(grid: ParamGrid, order: int = DEFAULT_ORDER,
     One-class instances are built only from axiom-passing simple-module
     candidates; failing candidates are reported by the theorem table, not
     silently turned into modules.  ``simples`` holds ``simple_modules`` of
-    each lambda of the grid, in grid order; by default it is computed here.
+    each lambda of the grid (a label -> FinRep map), in grid order; by
+    default it is computed here.
     """
     out = []
     for n in grid.ns:
@@ -123,11 +124,11 @@ def enumerate_families(grid: ParamGrid, order: int = DEFAULT_ORDER,
     if simples is None:
         simples = [simple_modules(lam) for lam in grid.lambdas]
     for lam, cands in zip(grid.lambdas, simples):
-        for cand in cands:
-            if cand.axiom.ok:
+        for label, rep in cands.items():
+            if rep.axiom.ok:
                 out.append(FamilyInstance(
-                    OneClassModule(cand.rep, cand.label), "one-class",
-                    {"rep": cand.label, "lambda": str(lam)}))
+                    OneClassModule(rep, label), "one-class",
+                    {"rep": label, "lambda": str(lam)}))
     return out
 
 
@@ -232,14 +233,13 @@ def theorem_table(grid: ParamGrid, order: int = DEFAULT_ORDER) -> dict:
     if not any(a != one and a != -one for a in grid.a_values):
         annotations.append("grid has no a with a^2 != 1; no infinite h-class witness")
 
-    # one candidate list per lambda feeds the families and both kinds of note
+    # one candidate map per lambda feeds the families and both kinds of note
     simples = [simple_modules(lam) for lam in grid.lambdas]
     instances = enumerate_families(grid, order, simples)
     instances.sort(key=lambda i: (_FAMILY_ORDER[i.family],) + i.key())
     cache: dict = {}
     rows = []
     finite_by_entry: dict[int, list[str]] = {k: [] for k in _ENTRY_LABELS}
-    infinite_names = []
     for inst in instances:
         verdict = classify(inst, cache)
         rows.append({
@@ -248,23 +248,21 @@ def theorem_table(grid: ParamGrid, order: int = DEFAULT_ORDER) -> dict:
             "support": str(inst.module.support),
             **verdict.as_json(),
         })
-        name = inst.describe()
         if verdict.finite:
+            name = inst.describe()
             entry = _entry_of(inst)
             if entry is not None:
                 finite_by_entry[entry].append(name)
             else:
                 annotations.append(f"finite verdict outside the reference list: {name}")
-        else:
-            infinite_names.append(name)
 
     # axiom failures on the lambda grid are reported, not dropped silently
     for lam, cands in zip(grid.lambdas, simples):
-        for cand in cands:
-            if not cand.axiom.ok:
+        for label, rep in cands.items():
+            if not rep.axiom.ok:
                 annotations.append(
-                    f"lambda={lam}: candidate {cand.label} fails module axioms "
-                    f"({cand.axiom.witness}); excluded from one-class families")
+                    f"lambda={lam}: candidate {label} fails module axioms "
+                    f"({rep.axiom.witness}); excluded from one-class families")
 
     annotations.extend(_iso_annotations(grid.lambdas, simples))
 
@@ -299,17 +297,15 @@ def _iso_annotations(lambdas, simples) -> list[str]:
     out = []
     zero = next((cands for lam, cands in zip(lambdas, simples) if lam.is_zero()), None)
     if zero is not None:
-        cands = {c.label: c for c in zero}
-        iso = rep_iso_check(cands["s0+"].rep, cands["s0-"].rep)
+        iso = rep_iso_check(zero["s0+"], zero["s0-"])
         out.append(f"s0+ isomorphic to s0-: {iso}"
                    + (" (entries 2 and 3 describe the same braided vector space)"
                       if iso else ""))
     for lam, simple in zip(lambdas, simples):
         if lam.is_zero():
             continue
-        cands = {c.label: c for c in simple if c.axiom.ok}
-        if {"slam+", "slam-"} <= set(cands):
-            iso = rep_iso_check(cands["slam+"].rep, cands["slam-"].rep)
+        if simple["slam+"].axiom.ok and simple["slam-"].axiom.ok:
+            iso = rep_iso_check(simple["slam+"], simple["slam-"])
             out.append(f"lambda={lam}: slam+ isomorphic to slam-: {iso}")
     return out
 

@@ -49,14 +49,13 @@ def _build_module(args, order):
                 lam = Scalar.zero(order) if lam is None else lam
             elif lam is None:
                 raise SystemExit("one-class slam+/slam- requires --lambda")
-            for cand in simple_modules(lam):
-                if cand.label == args.rep:
-                    if not cand.axiom.ok:
-                        raise SystemExit(
-                            f"candidate {args.rep} at lambda={lam} fails module "
-                            f"axioms: {cand.axiom.witness}")
-                    return OneClassModule(cand.rep, cand.label)
-            raise SystemExit(f"no candidate {args.rep} at lambda={lam}")
+            rep = simple_modules(lam).get(args.rep)
+            if rep is None:
+                raise SystemExit(f"no candidate {args.rep} at lambda={lam}")
+            if not rep.axiom.ok:
+                raise SystemExit(f"candidate {args.rep} at lambda={lam} fails module "
+                                 f"axioms: {rep.axiom.witness}")
+            return OneClassModule(rep, args.rep)
     except ValueError as exc:
         raise SystemExit(f"{family}: {exc}") from None
     raise SystemExit(f"unknown family {family}")

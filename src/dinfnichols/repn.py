@@ -4,9 +4,10 @@ Imposing h + h^-1 = lambda forces the reduction rules h g = lambda g - g h
 and h^2 = lambda h - 1, so every word in g, h, h^-1 collapses into the
 ordered basis (1, g, h, gh).  This module implements that arithmetic, the
 idempotent pair e1/e2, the nilpotent lines of the corners, the simple-module
-candidates for each lambda, and exact checkers for the dihedral module
-axioms, irreducibility and isomorphism of small modules.  A rep decides
-its axioms once and keeps the verdict; irreducibility of a 2-dimensional
+candidates for each lambda (a label -> FinRep map), and exact checkers for
+the dihedral module axioms, irreducibility and isomorphism of small
+modules.  A rep decides its axioms once and keeps the verdict as
+``FinRep.axiom``; irreducibility of a 2-dimensional
 rep is one determinant, det(GH - HG) (Shemesh), and isomorphism solves
 for intertwiners through linalg.nullspace, which eliminates on integer
 rows like the Nichols layer.
@@ -429,8 +430,6 @@ class CornerData:
     idempotent: ALambdaElement
     basis: tuple[ALambdaElement, ALambdaElement]
     radical_line: ALambdaElement
-    side: str          # "plus" or "minus"
-    left: bool = False
 
 
 def _corner_basis(lam: Scalar, side: str, left: bool):
@@ -451,20 +450,17 @@ def _corner_basis(lam: Scalar, side: str, left: bool):
     return a, b
 
 
-def corner_data(lam: Scalar, side: str, left: bool = False) -> CornerData:
+def corner_data(pair, side: str, left: bool = False) -> CornerData:
     """Corner of A_lambda at e1 (plus) or e2 (minus), with its radical line.
 
-    The idempotent pair is verified first.  The nilpotent line
-    r = b - (lambda/2) a is verified exactly: r^2 = 0 and r kills the corner
-    basis from the side the corner lives on.
+    ``pair`` is ``idempotent_pair(lam)``, already verified, and lambda is
+    read from it, so a report or suite that reads several corners verifies
+    the pair once.  The nilpotent line r = b - (lambda/2) a is verified
+    exactly: r^2 = 0 and r kills the corner basis from the side the corner
+    lives on.
     """
-    return _corner_data(lam, side, left, idempotent_pair(lam))
-
-
-def _corner_data(lam: Scalar, side: str, left: bool, pair) -> CornerData:
-    # pair is idempotent_pair(lam), verified by the caller, so that a report
-    # or suite that reads several corners verifies it once
     e1, e2 = pair
+    lam = e1.lam
     e = e1 if side == "plus" else e2
     a, b = _corner_basis(lam, side, left)
     r = b - a.scale(lam * Fraction(1, 2))
@@ -474,7 +470,7 @@ def _corner_data(lam: Scalar, side: str, left: bool, pair) -> CornerData:
         raise ArithmeticError("corner does not kill radical")
     if not left and not ((r * a).is_zero() and (r * b).is_zero()):
         raise ArithmeticError("radical does not kill corner")
-    return CornerData(e, (a, b), r, side, left)
+    return CornerData(e, (a, b), r)
 
 
 def corner_power_identity(x1: Scalar, x2: Scalar, lam: Scalar, n: int,
@@ -557,13 +553,8 @@ class CheckResult:
         return self.ok
 
 
-def module_axiom_check(rep: FinRep) -> CheckResult:
-    """Verify g^2 = 1 and (g h)^2 = 1, i.e. g h g = h^-1, as exact matrices:
-    the verdict ``rep.axiom``, computed once per rep."""
-    return rep.axiom
-
-
 def _module_axioms(rep: FinRep) -> CheckResult:
+    # g^2 = 1 and (g h)^2 = 1, i.e. g h g = h^-1, as exact matrices
     ident = linalg.identity(rep.dim, rep.order)
     if not linalg.mat_eq(linalg.mat_mul(rep.G, rep.G), ident):
         return CheckResult(False, "g^2 != 1")
@@ -641,53 +632,24 @@ def rep_iso_check(r1: FinRep, r2: FinRep) -> bool:
 
 # -- the simple-module candidates ---------------------------------------------
 
-@dataclass(frozen=True)
-class SimpleCandidate:
-    """One candidate simple module; ``axiom`` is its rep's verdict."""
+def simple_modules(lam: Scalar) -> dict[str, FinRep]:
+    """The candidate simple modules of A_lambda by label, each rep with its
+    axiom verdict (``rep.axiom``).
 
-    label: str                 # "s0+", "s0-", "slam+", "slam-"
-    lam: Scalar
-    rep: FinRep
-
-    @property
-    def dim(self) -> int:
-        return self.rep.dim
-
-    @property
-    def axiom(self) -> CheckResult:
-        return self.rep.axiom
-
-
-def _scalar_matrix(values, order):
-    return tuple(tuple(v if isinstance(v, Scalar) else Scalar.from_rational(v, order)
-                       for v in row) for row in values)
-
-
-def simple_modules(lam: Scalar) -> list[SimpleCandidate]:
-    """The candidate simple modules of A_lambda, each with its axiom
-    verdict (``cand.axiom``).
-
-    lambda = 0: two 2-dimensional modules (the corners themselves), with
-    g = diag(+-1, -+1) and h the rotation sending the first basis vector to
-    minus the second.  lambda != 0: two 1-dimensional candidates with
-    g -> +-1 and h -> lambda/2; these satisfy h^2 = lambda h - 1 only when
-    lambda = +-2 and are flagged accordingly, not dropped.
+    lambda = 0: "s0+" and "s0-", two 2-dimensional modules (the corners
+    themselves), with g = diag(+-1, -+1) and h the rotation sending the
+    first basis vector to minus the second.  lambda != 0: "slam+" and
+    "slam-", two 1-dimensional candidates with g -> +-1 and h -> lambda/2;
+    these satisfy h^2 = lambda h - 1 only when lambda = +-2 and are flagged
+    accordingly, not dropped.
     """
-    order = lam.order
-    one = Scalar.one(order)
-    out = []
+    one, zero = Scalar.one(lam.order), Scalar.zero(lam.order)
     if lam.is_zero():
-        for label, gsign in (("s0+", one), ("s0-", -one)):
-            G = _scalar_matrix([[gsign, 0], [0, -gsign]], order)
-            H = _scalar_matrix([[0, 1], [-1, 0]], order)
-            out.append(SimpleCandidate(label, lam, FinRep(G, H)))
-        return out
-    half_lam = lam * Fraction(1, 2)
-    for label, gval in (("slam+", one), ("slam-", -one)):
-        G = _scalar_matrix([[gval]], order)
-        H = _scalar_matrix([[half_lam]], order)
-        out.append(SimpleCandidate(label, lam, FinRep(G, H)))
-    return out
+        H = ((zero, one), (-one, zero))
+        return {label: FinRep(((gsign, zero), (zero, -gsign)), H)
+                for label, gsign in (("s0+", one), ("s0-", -one))}
+    H = ((lam * Fraction(1, 2),),)
+    return {label: FinRep(((gval,),), H) for label, gval in (("slam+", one), ("slam-", -one))}
 
 
 def alambda_report(lam: Scalar) -> dict:
@@ -703,7 +665,7 @@ def alambda_report(lam: Scalar) -> dict:
     corners = {}
     for side in ("plus", "minus"):
         for left in (False, True):
-            c = _corner_data(lam, side, left, pair)
+            c = corner_data(pair, side, left)
             key = f"{'left' if left else 'right'}_{side}"
             corners[key] = {
                 "idempotent": str(c.idempotent),
@@ -711,18 +673,18 @@ def alambda_report(lam: Scalar) -> dict:
                 "radical_line": str(c.radical_line),
             }
     simples = []
-    for cand in simple_modules(lam):
+    for label, rep in simple_modules(lam).items():
         entry = {
-            "label": cand.label,
-            "dim": cand.dim,
-            "g": [[str(c) for c in row] for row in cand.rep.G],
-            "h": [[str(c) for c in row] for row in cand.rep.H],
-            "axiom_pass": cand.axiom.ok,
+            "label": label,
+            "dim": rep.dim,
+            "g": [[str(c) for c in row] for row in rep.G],
+            "h": [[str(c) for c in row] for row in rep.H],
+            "axiom_pass": rep.axiom.ok,
         }
-        if cand.axiom.ok:
-            entry["irreducible"] = is_irreducible(cand.rep)
+        if rep.axiom.ok:
+            entry["irreducible"] = is_irreducible(rep)
         else:
-            entry["axiom_witness"] = cand.axiom.witness
+            entry["axiom_witness"] = rep.axiom.witness
         simples.append(entry)
     return {
         "lambda": str(lam),

@@ -29,7 +29,7 @@ with the exception as its witness.  The finite modules are checked against
 the data that defines them: their braid equation follows from diagonal type
 (``ydmod.diagonal_type``), their relations g^2 = 1 and g h g = h^-1 are
 checked on the matrices G and H their action is built from
-(``repn.module_axiom_check``).
+(``repn.FinRep.axiom``).
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ from .group import GroupElement
 from .repn import (
     CheckResult,
     LambdaPoly,
-    _corner_data,
+    corner_data,
     corner_square_check,
     idempotent_pair,
     is_irreducible,
-    module_axiom_check,
     simple_modules,
     structure_check,
     table_specialises,
@@ -146,7 +145,7 @@ def _finite_yd_checks(m):
     degs = {m.coact(v) for v in basis}
     in_class = all(m.support.contains(d) for d in degs)
     count_ok = len(degs) == (2 if m.dim == 2 and m.support.tag == "HPower" else 1)
-    return (CheckResult(compat), module_axiom_check(m.rep), CheckResult(in_class and count_ok),
+    return (CheckResult(compat), m.rep.axiom, CheckResult(in_class and count_ok),
             len(degs))
 
 
@@ -189,15 +188,15 @@ def alambda_suite(order: int = DEFAULT_ORDER) -> SuiteResult:
         for name, (ok, detail) in zip(_ALAMBDA_CHECKS, checks):
             res.record(name.format(lam), ok, detail)
     for lam in lambdas[:3] + [Scalar.from_rational(3, order)]:
-        for cand in simple_modules(lam):
-            if cand.axiom.ok:
-                res.record(f"simple module irreducible: lambda={lam} {cand.label}",
-                           is_irreducible(cand.rep))
+        for label, rep in simple_modules(lam).items():
+            if rep.axiom.ok:
+                res.record(f"simple module irreducible: lambda={lam} {label}",
+                           is_irreducible(rep))
             else:
                 res.record(
                     f"candidate flagged (expected for lambda not 0,+-2): "
-                    f"lambda={lam} {cand.label}",
-                    not cand.axiom.ok, f"witness: {cand.axiom.witness}")
+                    f"lambda={lam} {label}",
+                    not rep.axiom.ok, f"witness: {rep.axiom.witness}")
     return res
 
 
@@ -228,7 +227,7 @@ def _alambda_checks(lam) -> list[tuple[bool, str]]:
         else:
             try:
                 # raises unless r^2 = 0 and r kills the corner
-                _corner_data(lam, side, False, pair)
+                corner_data(pair, side)
                 failure = ""
             except ArithmeticError as exc:
                 failure = str(exc)

@@ -62,7 +62,7 @@ from .group import (
     ONE,
 )
 from .linalg import identity, mat_mul
-from .repn import CheckResult, FinRep, module_axiom_check
+from .repn import CheckResult, FinRep
 
 SIGN = "sign"
 EPS = "eps"
@@ -444,9 +444,8 @@ class OneClassModule(FiniteClassModule):
     """
 
     def __init__(self, rep: FinRep, label: str = "one-class"):
-        check = module_axiom_check(rep)
-        if not check.ok:
-            raise ValueError(f"rep fails module axioms: {check.witness}")
+        if not rep.axiom.ok:
+            raise ValueError(f"rep fails module axioms: {rep.axiom.witness}")
         self.label = label
         super().__init__(rep, (V1, V2)[:rep.dim],
                          (GroupElement.identity(),) * rep.dim, 1, ConjClass(ONE))

@@ -26,7 +26,6 @@ from dinfnichols.repn import (
     corner_power_identity,
     idempotent_pair,
     is_irreducible,
-    module_axiom_check,
     corner_data,
     reduce_word,
     rep_iso_check,
@@ -54,9 +53,9 @@ A_VALUES = [rat(1), rat(-1), rat(2), Scalar.zeta(ORDER, 4)]
 
 
 def one_class_module(label, lam):
-    cand = {c.label: c for c in simple_modules(lam)}[label]
-    assert cand.axiom.ok
-    return OneClassModule(cand.rep, label)
+    rep = simple_modules(lam)[label]
+    assert rep.axiom.ok
+    return OneClassModule(rep, label)
 
 
 @pytest.fixture(scope="module")
@@ -157,11 +156,11 @@ def test_criterion_4_alambda_suite():
             assert len(elt.coeffs) == 4
             split = rng.randrange(len(word) + 1)
             assert reduce_word(lam, word[:split]) * reduce_word(lam, word[split:]) == elt
-        e1, e2 = idempotent_pair(lam)
+        pair = e1, e2 = idempotent_pair(lam)
         assert e1 * e1 == e1 and (e1 * e2).is_zero()
         assert e1 + e2 == reduce_word(lam, [])
         for side in ("plus", "minus"):
-            assert (corner_data(lam, side).radical_line ** 2).is_zero()
+            assert (corner_data(pair, side).radical_line ** 2).is_zero()
     for _ in range(100):
         lam = rng.choice(lambdas)
         x1 = rat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -176,18 +175,18 @@ def test_criterion_4_alambda_suite():
 
 def test_criterion_5_simple_module_suite():
     for lam_val in (0, 2, -2):
-        for cand in simple_modules(rat(lam_val)):
-            assert cand.axiom.ok, (lam_val, cand.label)
-            assert is_irreducible(cand.rep)
+        for label, rep in simple_modules(rat(lam_val)).items():
+            assert rep.axiom.ok, (lam_val, label)
+            assert is_irreducible(rep)
     witnesses = []
-    for cand in simple_modules(rat(3)):
-        assert cand.dim == 1
-        assert not cand.axiom.ok
-        assert cand.axiom.witness == "g h g != h^-1"
-        witnesses.append(cand.axiom.witness)
-    zero_cands = simple_modules(rat(0))
-    verdict1 = rep_iso_check(zero_cands[0].rep, zero_cands[1].rep)
-    verdict2 = rep_iso_check(zero_cands[0].rep, zero_cands[1].rep)
+    for rep in simple_modules(rat(3)).values():
+        assert rep.dim == 1
+        assert not rep.axiom.ok
+        assert rep.axiom.witness == "g h g != h^-1"
+        witnesses.append(rep.axiom.witness)
+    zero = simple_modules(rat(0))
+    verdict1 = rep_iso_check(zero["s0+"], zero["s0-"])
+    verdict2 = rep_iso_check(zero["s0+"], zero["s0-"])
     assert verdict1 == verdict2    # deterministic
     print(f"PASS criterion 5: simple modules verified; lambda=3 candidates "
           f"fail with witnesses {witnesses}; s0+ isomorphic to s0-: {verdict1}")

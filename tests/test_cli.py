@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,10 +96,16 @@ def test_nichols_rejects_degree_below_growth_fit(capsys):
     (["--family", "h-class", "--a", "2", "--n", "0"], "n must be >= 1"),
     (["--family", "one-class", "--rep", "slam+", "--lambda", "1/0"],
      "zero denominator"),
+    (["--family", "one-class", "--rep", "s0-", "--lambda", "2"],
+     "no candidate s0- at lambda=2"),
+    (["--family", "one-class", "--rep", "slam-", "--lambda", "3"],
+     "candidate slam- at lambda=3 fails module axioms: g h g != h^-1"),
+    (["--family", "one-class", "--rep", "bogus", "--lambda", "2"],
+     "one-class requires --rep s0+|s0-|slam+|slam-"),
 ])
 def test_bad_family_parameters_exit_with_message(argv, message):
     for command in ("braiding", "nichols"):
-        with pytest.raises(SystemExit, match=message):
+        with pytest.raises(SystemExit, match=re.escape(message)):
             main([command] + argv)
 
 

@@ -44,8 +44,7 @@ def rat(q):
 
 
 def one_class_module(label, lam):
-    cand = {c.label: c for c in simple_modules(lam)}[label]
-    return OneClassModule(cand.rep, label)
+    return OneClassModule(simple_modules(lam)[label], label)
 
 
 # -- oracle: the definitional symmetrizer, a sum of word-level braid lifts ---

@@ -21,7 +21,6 @@ from dinfnichols.repn import (
     corner_square_check,
     idempotent_pair,
     is_irreducible,
-    module_axiom_check,
     reduce_word,
     rep_iso_check,
     simple_modules,
@@ -207,15 +206,14 @@ def test_idempotent_pair():
 def test_corner_relations():
     # a^2=2a, ab=2b, ba=lam*a, b^2=lam*b in the right plus corner
     for lam in LAMBDAS:
-        c = corner_data(lam, "plus")
-        a, b = c.basis
+        pair = idempotent_pair(lam)
+        a, b = corner_data(pair, "plus").basis
         assert a * a == a.scale(2)
         assert a * b == b.scale(2)
         assert b * a == a.scale(lam)
         assert b * b == b.scale(lam)
         # and the left corner swaps the mixed products
-        cl = corner_data(lam, "plus", left=True)
-        al, bl = cl.basis
+        al, bl = corner_data(pair, "plus", left=True).basis
         assert al * bl == al.scale(lam)
         assert bl * al == bl.scale(2)
 
@@ -239,15 +237,17 @@ def test_corner_power_identity_random():
 
 
 def test_radical_line():
-    c = corner_data(rat(0), "plus")
+    c = corner_data(idempotent_pair(rat(0)), "plus")
     assert c.radical_line == basis(rat(0), "h") + basis(rat(0), "gh")
-    c2 = corner_data(rat(2), "plus")
+    c2 = corner_data(idempotent_pair(rat(2)), "plus")
     a, b = c2.basis
     assert c2.radical_line == b - a
     for lam in LAMBDAS:
+        pair = idempotent_pair(lam)
         for side in ("plus", "minus"):
             for left in (False, True):
-                c = corner_data(lam, side, left)
+                c = corner_data(pair, side, left)
+                assert c.idempotent == pair[0 if side == "plus" else 1]
                 r = c.radical_line
                 assert (r * r).is_zero()
                 a, b = c.basis
@@ -258,15 +258,17 @@ def test_radical_line():
 
 
 def test_corrupt_product_table_raises(monkeypatch):
-    # a table with g*g = g: the checks must raise, also under python -O
+    # a table with g*g = g: the checks must raise, also under python -O;
+    # the radical check raises on its own, given the pair built before
     lam = rat(2)
+    pair = idempotent_pair(lam)
     table = dict(repn._basis_product_table(lam))
     table[(1, 1)] = table[(0, 1)]
     monkeypatch.setattr(repn, "_basis_product_table", lambda _lam: table)
     with pytest.raises(ArithmeticError):
         idempotent_pair(lam)
     with pytest.raises(ArithmeticError):
-        corner_data(lam, "plus")
+        corner_data(pair, "plus")
 
 
 @pytest.mark.parametrize("lam", LAMBDAS + [rat(1), rat(-1), rat(3)], ids=str)
@@ -473,50 +475,53 @@ def test_alambda_suite_falls_back_when_the_symbolic_proof_fails(monkeypatch):
 
 def test_simple_modules_lambda_zero():
     cands = simple_modules(rat(0))
-    assert [c.label for c in cands] == ["s0+", "s0-"]
-    for c in cands:
-        assert c.dim == 2
-        assert c.axiom.ok
-        assert is_irreducible(c.rep)
+    assert list(cands) == ["s0+", "s0-"]
+    for rep in cands.values():
+        assert rep.dim == 2
+        assert rep.axiom.ok
+        assert is_irreducible(rep)
     # action table: g.a = a, h.a = -b, g.b = -b, h.b = a
-    rep = cands[0].rep
+    rep = cands["s0+"]
     assert rep.G[0][0] == Scalar.one(ORDER) and rep.G[1][1] == -Scalar.one(ORDER)
     assert rep.H[1][0] == -Scalar.one(ORDER) and rep.H[0][1] == Scalar.one(ORDER)
-    assert copy.deepcopy(cands[0]) == cands[0]
+    assert cands["s0-"].G[0][0] == -Scalar.one(ORDER) and cands["s0-"].H == rep.H
+    assert copy.deepcopy(rep) == rep
 
 
 @pytest.mark.parametrize("lam_value,expect_pass", [(2, True), (-2, True), (3, False)])
 def test_simple_modules_lambda_nonzero(lam_value, expect_pass):
     cands = simple_modules(rat(lam_value))
-    assert [c.label for c in cands] == ["slam+", "slam-"]
-    for c in cands:
-        assert c.dim == 1
-        assert c.axiom.ok == expect_pass
-        assert c.rep.H[0][0] == rat(Fraction(lam_value, 2))
+    assert list(cands) == ["slam+", "slam-"]
+    for rep, gval in zip(cands.values(), (1, -1)):
+        assert rep.dim == 1
+        assert rep.axiom.ok == expect_pass
+        assert rep.G[0][0] == rat(gval)
+        assert rep.H[0][0] == rat(Fraction(lam_value, 2))
         if expect_pass:
-            assert is_irreducible(c.rep)
+            assert is_irreducible(rep)
         else:
-            assert c.axiom.witness == "g h g != h^-1"
+            assert rep.axiom.witness == "g h g != h^-1"
 
 
 def test_four_characters_across_pm2():
     seen = set()
     for lam_value in (2, -2):
-        for c in simple_modules(rat(lam_value)):
-            assert c.axiom.ok and c.dim == 1
-            seen.add((str(c.rep.G[0][0]), str(c.rep.H[0][0])))
+        for rep in simple_modules(rat(lam_value)).values():
+            assert rep.axiom.ok and rep.dim == 1
+            seen.add((str(rep.G[0][0]), str(rep.H[0][0])))
     assert seen == {("1", "1"), ("-1", "1"), ("1", "-1"), ("-1", "-1")}
 
 
 def test_module_axiom_check_examples():
     one = Scalar.one(ORDER)
     trivial = FinRep.from_matrices([[one]], [[one]])
-    assert module_axiom_check(trivial).ok
-    s0 = simple_modules(rat(0))[0]
-    assert module_axiom_check(s0.rep).ok
+    assert trivial.axiom.ok
+    assert simple_modules(rat(0))["s0+"].axiom.ok
     bad = FinRep.from_matrices([[one]], [[rat("3/2")]])
-    res = module_axiom_check(bad)
+    res = bad.axiom
     assert not res.ok and res.witness == "g h g != h^-1"
+    # g^2 = 1 is checked first: g -> 2
+    assert FinRep.from_matrices([[rat(2)]], [[one]]).axiom.witness == "g^2 != 1"
 
 
 def test_is_irreducible():
@@ -524,12 +529,11 @@ def test_is_irreducible():
     zero = Scalar.zero(ORDER)
     any_char = FinRep.from_matrices([[-one]], [[one]])
     assert is_irreducible(any_char)
-    s0 = simple_modules(rat(0))[0]
-    assert is_irreducible(s0.rep)
+    assert is_irreducible(simple_modules(rat(0))["s0+"])
     # commuting axiom-passing pair: diagonal, so reducible
     diag = FinRep.from_matrices([[one, zero], [zero, one]],
                                 [[one, zero], [zero, -one]])
-    assert module_axiom_check(diag).ok
+    assert diag.axiom.ok
     assert not is_irreducible(diag)
     # the commuting pair with h -> diag(2, 1/2) violates g h g = h^-1
     bad = FinRep.from_matrices([[one, zero], [zero, one]],
@@ -547,11 +551,11 @@ def test_rep_iso_check_examples():
     cands = simple_modules(rat(0))
     # computed verdict: the two 2-dim modules are isomorphic (swap the
     # g-eigenvectors); deterministic and printed by the acceptance suite
-    assert rep_iso_check(cands[0].rep, cands[1].rep) is True
+    assert rep_iso_check(cands["s0+"], cands["s0-"]) is True
     lam2 = simple_modules(rat(2))
-    assert rep_iso_check(lam2[0].rep, lam2[1].rep) is False
+    assert rep_iso_check(lam2["slam+"], lam2["slam-"]) is False
     # dim mismatch is never isomorphic
-    assert not rep_iso_check(r1, cands[0].rep)
+    assert not rep_iso_check(r1, cands["s0+"])
 
 
 def _record_kernel_degrees(monkeypatch):
@@ -569,7 +573,7 @@ def _record_kernel_degrees(monkeypatch):
 def test_is_irreducible_makes_no_kernel_call(monkeypatch):
     # one 2x2 determinant decides it: no rank, no elimination
     degrees = _record_kernel_degrees(monkeypatch)
-    base = simple_modules(rat(0))[0].rep
+    base = simple_modules(rat(0))["s0+"]
     twisted = _conjugate_rep(base, [[rat(1), Scalar.zeta(ORDER)], [rat(0), rat(1)]])
     assert is_irreducible(base) and is_irreducible(twisted)
     assert degrees == []
@@ -580,7 +584,7 @@ def test_intertwiners_run_on_the_integer_kernel(monkeypatch):
     # rows: over Z for rational matrices and over Z[zeta_12] once an entry
     # is irrational
     degrees = _record_kernel_degrees(monkeypatch)
-    s0p, s0m = (c.rep for c in simple_modules(rat(0)))
+    s0p, s0m = simple_modules(rat(0)).values()
     assert rep_iso_check(s0p, s0m)
     assert set(degrees) == {1}
     degrees.clear()
@@ -608,10 +612,10 @@ def _invertible(rng, entry):
 
 def test_stability_under_conjugation():
     rng = random.Random(5)
-    base = simple_modules(rat(0))[0].rep
+    base = simple_modules(rat(0))["s0+"]
     for _ in range(5):
         conj = _conjugate_rep(base, _invertible(rng, lambda: rat(rng.randint(-3, 3))))
-        assert module_axiom_check(conj).ok
+        assert conj.axiom.ok
         assert is_irreducible(conj)
         assert rep_iso_check(base, conj)
 
@@ -619,7 +623,8 @@ def test_stability_under_conjugation():
 def test_commutator_criterion_matches_the_burnside_span():
     rng = random.Random(11)
     one, zero = Scalar.one(ORDER), Scalar.zero(ORDER)
-    reps = [c.rep for lam in (0, 2, -2) for c in simple_modules(rat(lam)) if c.axiom.ok]
+    reps = [rep for lam in (0, 2, -2) for rep in simple_modules(rat(lam)).values()
+            if rep.axiom.ok]
     assert len(reps) == 6
     # seeded conjugates T s0 T^-1 over Q and over Q(zeta_12)
     s0 = reps[0]
@@ -657,12 +662,13 @@ def test_the_axiom_verdict_is_computed_once_per_rep(monkeypatch):
     compute = repn._module_axioms
     monkeypatch.setattr(repn, "_module_axioms", lambda rep: calls.append(rep) or compute(rep))
     cands = simple_modules(rat(0))
-    for c in cands:
-        assert c.axiom.ok and module_axiom_check(c.rep) is c.axiom
-        assert is_irreducible(c.rep)
-    assert rep_iso_check(cands[0].rep, cands[1].rep)
-    assert calls == [c.rep for c in cands]
+    for rep in cands.values():
+        first = rep.axiom
+        assert first.ok and rep.axiom is first
+        assert is_irreducible(rep)
+    assert rep_iso_check(cands["s0+"], cands["s0-"])
+    assert calls == list(cands.values())
     # the verdict is kept on the object, not keyed by its matrices
-    again = FinRep(cands[0].rep.G, cands[0].rep.H)
-    assert again == cands[0].rep and module_axiom_check(again).ok
+    again = FinRep(cands["s0+"].G, cands["s0+"].H)
+    assert again == cands["s0+"] and again.axiom.ok
     assert len(calls) == 3

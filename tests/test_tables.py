@@ -141,8 +141,8 @@ def test_closed_form_q_reads_the_stored_inverse(monkeypatch):
 def test_one_class_action_tables():
     one = Scalar.one(ORDER)
     g, h = GroupElement.g(), GroupElement.h()
-    cands = {c.label: c for c in simple_modules(rat(0))}
-    plus = OneClassModule(cands["s0+"].rep, "s0+")
+    cands = simple_modules(rat(0))
+    plus = OneClassModule(cands["s0+"], "s0+")
     expected = {
         (g, V1): (one, V1), (g, V2): (-one, V2),
         (h, V1): (-one, V2), (h, V2): (one, V1),
@@ -150,7 +150,7 @@ def test_one_class_action_tables():
     for (x, v), out in expected.items():
         (t,) = plus.act(x, v)
         assert (t.coeff, t.vec) == out
-    minus = OneClassModule(cands["s0-"].rep, "s0-")
+    minus = OneClassModule(cands["s0-"], "s0-")
     expected = {
         (g, V1): (-one, V1), (g, V2): (one, V2),
         (h, V1): (-one, V2), (h, V2): (one, V1),
@@ -159,13 +159,13 @@ def test_one_class_action_tables():
         (t,) = minus.act(x, v)
         assert (t.coeff, t.vec) == out
     for lam_val, gsign in ((2, 1), (-2, 1)):
-        cands = {c.label: c for c in simple_modules(rat(lam_val))}
-        mod_plus = OneClassModule(cands["slam+"].rep, "slam+")
+        cands = simple_modules(rat(lam_val))
+        mod_plus = OneClassModule(cands["slam+"], "slam+")
         (t,) = mod_plus.act(g, V1)
         assert t.coeff == one and t.vec == V1
         (t,) = mod_plus.act(h, V1)
         assert t.coeff == rat(Fraction(lam_val, 2))
-        mod_minus = OneClassModule(cands["slam-"].rep, "slam-")
+        mod_minus = OneClassModule(cands["slam-"], "slam-")
         (t,) = mod_minus.act(g, V1)
         assert t.coeff == -one
         (t,) = mod_minus.act(h, V1)
@@ -173,8 +173,7 @@ def test_one_class_action_tables():
 
 
 def test_one_class_grading_is_trivial():
-    cands = {c.label: c for c in simple_modules(rat(0))}
-    m = OneClassModule(cands["s0+"].rep, "s0+")
+    m = OneClassModule(simple_modules(rat(0))["s0+"], "s0+")
     for v in m.basis():
         assert m.coact(v) == parse_element("1")
 

@@ -52,9 +52,9 @@ def rat(q):
 
 
 def one_class_module(label, lam):
-    cand = {c.label: c for c in simple_modules(lam)}[label]
-    assert cand.axiom.ok
-    return OneClassModule(cand.rep, label)
+    rep = simple_modules(lam)[label]
+    assert rep.axiom.ok
+    return OneClassModule(rep, label)
 
 
 def all_finite_modules():
@@ -903,6 +903,5 @@ def test_reflection_yd_check_rejects_finite_modules():
 
 
 def test_one_class_requires_axiom_pass():
-    bad = {c.label: c for c in simple_modules(rat(3))}["slam+"]
     with pytest.raises(ValueError):
-        OneClassModule(bad.rep)
+        OneClassModule(simple_modules(rat(3))["slam+"])
