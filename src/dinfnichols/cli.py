@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -164,11 +165,6 @@ def _cmd_verify(args):
     return 1 if res.failed else 0
 
 
-def _add_zeta(p):
-    p.add_argument("--zeta-order", type=int, default=DEFAULT_ORDER,
-                   help="cyclotomic order N of the scalar field Q(zeta_N)")
-
-
 def _add_family(p):
     p.add_argument("--family", required=True,
                    choices=["h-class", "g-class", "gh-class", "one-class"])
@@ -178,45 +174,44 @@ def _add_family(p):
     p.add_argument("--lambda", dest="lam")
 
 
-def _add_alambda(sub):
-    p = sub.add_parser("alambda", help="structure of A_lambda")
-    _add_zeta(p)
+@functools.cache
+def _parser():
+    """The argument parser of all five subcommands, built on the first call
+    of main and reused by every later call in the process."""
+    parser = argparse.ArgumentParser(
+        prog="dinfnichols",
+        description="Yetter-Drinfeld modules, braidings and truncated Nichols "
+                    "algebras over the infinite dihedral group")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--zeta-order", type=int, default=DEFAULT_ORDER,
+                       help="cyclotomic order N of the scalar field Q(zeta_N)")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("alambda", _cmd_alambda, "structure of A_lambda")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--report", default="structure",
                    choices=["structure", "idempotents", "radical", "simples"])
-    p.set_defaults(func=_cmd_alambda)
 
-
-def _add_braiding(sub):
-    p = sub.add_parser("braiding", help="braiding table of one family")
-    _add_zeta(p)
+    p = command("braiding", _cmd_braiding, "braiding table of one family")
     _add_family(p)
     p.add_argument("--window", type=int, default=4)
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.set_defaults(func=_cmd_braiding)
 
-
-def _add_nichols(sub):
-    p = sub.add_parser("nichols", help="truncated Hilbert series")
-    _add_zeta(p)
+    p = command("nichols", _cmd_nichols, "truncated Hilbert series")
     _add_family(p)
     p.add_argument("--max-degree", type=int, default=6)
-    p.set_defaults(func=_cmd_nichols)
 
-
-def _add_classify(sub):
-    p = sub.add_parser("classify", help="classification report")
-    _add_zeta(p)
+    p = command("classify", _cmd_classify, "classification report")
     p.add_argument("--all", action="store_true",
                    help="classify every family on the grid (default behaviour)")
     p.add_argument("--grid", help="JSON file with keys n, a, lambda")
     p.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    p.set_defaults(func=_cmd_classify)
 
-
-def _add_verify(sub):
-    p = sub.add_parser("verify", help="run property suites")
-    _add_zeta(p)
+    p = command("verify", _cmd_verify, "run property suites")
     p.add_argument("--suite", default="all",
                    choices=sorted(SUITES) + ["all"])
     p.add_argument("--window", type=int, default=8,
@@ -224,44 +219,16 @@ def _add_verify(sub):
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for older scripts; no suite samples, so it "
                         "changes no output")
-    p.set_defaults(func=_cmd_verify)
-
-
-# subcommand name -> builder of its subparser, in the order of the help text
-SUBCOMMANDS = {"alambda": _add_alambda, "braiding": _add_braiding,
-               "nichols": _add_nichols, "classify": _add_classify,
-               "verify": _add_verify}
-
-
-def _parser(only=None):
-    """The argument parser, with every subcommand or only the one named.
-
-    The top-level usage line lists the subcommands that were built, so
-    every message that prints it (help, a missing or unknown command, the
-    range checks of main) comes from the full parser.
-    """
-    parser = argparse.ArgumentParser(
-        prog="dinfnichols",
-        description="Yetter-Drinfeld modules, braidings and truncated Nichols "
-                    "algebras over the infinite dihedral group")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, build in SUBCOMMANDS.items():
-        if only in (None, name):
-            build(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a known subcommand parses with its own subparser only
-    args, extra = _parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None
-                          ).parse_known_args(argv)
-    if extra:
-        _parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    parser = _parser()
+    args = parser.parse_args(argv)
     if getattr(args, "window", 1) < 1:
-        _parser().error("--window must be >= 1")
+        parser.error("--window must be >= 1")
     if args.zeta_order < 1:
-        _parser().error("--zeta-order must be >= 1")
+        parser.error("--zeta-order must be >= 1")
     return args.func(args)
 
 

@@ -34,6 +34,7 @@ checked on the matrices G and H their action is built from
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .classify import ParamGrid, enumerate_families
@@ -85,14 +86,19 @@ def _sample_modules(order: int = DEFAULT_ORDER):
     return [i.module for i in enumerate_families(grid, order)]
 
 
-def braid_suite(order: int = DEFAULT_ORDER) -> SuiteResult:
+def _sample(order, sample):
+    # sample: the builder that run_suites shares among the suites of a run
+    return _sample_modules(order) if sample is None else sample()
+
+
+def braid_suite(order: int = DEFAULT_ORDER, sample=None) -> SuiteResult:
     """The braid equation of each sample module.  The reflection modules are
     proven for all indices by ``ydmod.reflection_braid_check``.  A finite
     module passes when its braiding is of diagonal type: then
     c(x_i (x) x_j) = q_ij x_j (x) x_i, and both sides of the braid equation
     send x_i (x) x_j (x) x_k to q_ij q_ik q_jk x_k (x) x_j (x) x_i."""
     res = SuiteResult()
-    for m in _sample_modules(order):
+    for m in _sample(order, sample):
         if isinstance(m, ReflectionClassModule):
             check = reflection_braid_check(m)
         else:
@@ -113,13 +119,13 @@ def _diagonal_check(m) -> CheckResult:
     return CheckResult(False, (f"c({v}(x){w})", str(t), f"q*{w}(x){v}"))
 
 
-def yd_suite(order: int = DEFAULT_ORDER) -> SuiteResult:
+def yd_suite(order: int = DEFAULT_ORDER, sample=None) -> SuiteResult:
     """Three yd facts per sample module.  The reflection modules are proven
     for all indices by ``ydmod.reflection_yd_check``.  A finite module's
     compatibility and degrees are checked on its basis, its relations on the
     matrices G and H that its action is built from."""
     res = SuiteResult()
-    for m in _sample_modules(order):
+    for m in _sample(order, sample):
         if isinstance(m, ReflectionClassModule):
             (compat, relations, degrees), distinct = reflection_yd_check(m), "all"
         else:
@@ -149,11 +155,11 @@ def _finite_yd_checks(m):
             len(degs))
 
 
-def tables_suite(order: int = DEFAULT_ORDER) -> SuiteResult:
+def tables_suite(order: int = DEFAULT_ORDER, sample=None) -> SuiteResult:
     """``tables.braiding_table_check`` proves the reflection tables for all
     indices and checks the finite ones on their whole basis."""
     res = SuiteResult()
-    mods = _sample_modules(order)
+    mods = _sample(order, sample)
     for m in mods:
         check = braiding_table_check(m)
         res.record(f"closed-form table: {m!r}", check.ok, _failure(check))
@@ -240,7 +246,11 @@ SUITES = {"braid": braid_suite, "yd": yd_suite, "tables": tables_suite,
 
 
 def run_suites(names, order: int = DEFAULT_ORDER) -> SuiteResult:
+    # the braid, yd and tables suites of one run read one sample, built by
+    # the first of them that runs
+    sample = functools.cache(functools.partial(_sample_modules, order))
     res = SuiteResult()
     for name in names:
-        res.extend(SUITES[name](order=order))
+        kwargs = {} if name == "alambda" else {"sample": sample}
+        res.extend(SUITES[name](order=order, **kwargs))
     return res

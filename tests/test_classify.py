@@ -276,3 +276,18 @@ def test_one_report_decides_each_candidate_once(monkeypatch, capsys):
         assert counts == {"simple_modules": 4, "axioms": 8, "repn mat_mul": 28,
                           "ydmod mat_mul": 0, "exact_rank": 0}
     capsys.readouterr()
+
+
+def test_one_verify_run_builds_its_sample_once(monkeypatch, capsys):
+    # the braid, yd and tables suites of one run share one sample (2
+    # candidate lists, 4 axiom verdicts), the yd suite decides the 8 h-class
+    # reps and the alambda suite adds 4 lists and 8 verdicts; a single suite
+    # builds the sample once too; the same counts on a second call, so no
+    # sample outlives its run
+    counts = _count_calls(monkeypatch)
+    for suite, simple, axioms in (["all", 6, 20], ["all", 6, 20], ["braid", 2, 4],
+                                  ["yd", 2, 12], ["tables", 2, 4]):
+        counts.update(dict.fromkeys(counts, 0))
+        assert cli.main(["verify", "--suite", suite]) == 0
+        assert (counts["simple_modules"], counts["axioms"]) == (simple, axioms)
+    capsys.readouterr()

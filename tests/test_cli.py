@@ -127,19 +127,63 @@ FULL_USAGE = "usage: dinfnichols [-h] {alambda,braiding,nichols,classify,verify}
     ["classify", "--format", "csv"],
     ["verify", "--suite", "tables", "--window", "1"],
 ])
-def test_known_subcommand_builds_only_its_parser(monkeypatch, capsys, argv):
-    def refuse(sub):
-        raise AssertionError("built the parser of another subcommand")
-
-    for name in cli.SUBCOMMANDS:
-        if name != argv[0]:
-            monkeypatch.setitem(cli.SUBCOMMANDS, name, refuse)
+def test_known_subcommand_runs_and_prints_its_help(capsys, argv):
     assert main(argv) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: dinfnichols {argv[0]} [-h]")
+
+
+def test_parser_is_built_once():
+    # in a fresh process the first call builds the top-level parser and its
+    # five subcommands' parsers; later calls build none, error exits included
+    script = """
+import argparse, contextlib, io, sys
+from dinfnichols.cli import main
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+per_call = []
+for argv in (["classify", "--format", "csv"], ["verify", "--window", "0"],
+             ["alambda", "--lambda", "2"], ["--help"],
+             ["nichols", "--family", "h-class", "--a", "2"]):
+    before = len(built)
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):
+        main(argv)
+    per_call.append(len(built) - before)
+print(per_call)
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[6, 0, 0, 0, 0]\n"
+
+
+def test_one_parser_carries_nothing_between_calls(capsys):
+    # a later call that leaves an option out reads its default, not the
+    # value an earlier call set; an error exit in between changes nothing
+    braiding = ["braiding", "--family", "h-class", "--a", "2", "--format", "json"]
+    nichols = ["nichols", "--family", "h-class", "--a", "2"]
+    code, out = run_cli(capsys, *braiding, "--window", "2")
+    assert code == 0 and json.loads(out)["window"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--window", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, *braiding)
+    assert code == 0 and json.loads(out)["window"] == 4
+    code, out = run_cli(capsys, *nichols, "--max-degree", "4")
+    assert code == 0 and len(out.splitlines()) == 5 + 2
+    code, out = run_cli(capsys, *nichols)
+    assert code == 0 and len(out.splitlines()) == 7 + 2
+    assert run_cli(capsys, "braiding", "--family", "g-class", "--rep", "sign")[0] == 0
+    with pytest.raises(SystemExit, match=re.escape("g-class requires --rep sign|eps")):
+        main(["braiding", "--family", "g-class"])
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -155,7 +199,7 @@ def test_known_subcommand_builds_only_its_parser(monkeypatch, capsys, argv):
     (["classify", "--zeta-order", "0"], "--zeta-order must be >= 1"),
 ])
 def test_top_level_errors_list_every_subcommand(capsys, argv, message):
-    # messages that print the top-level usage come from the full parser
+    # every message that prints the top-level usage lists all five subcommands
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
